@@ -212,7 +212,3 @@ def solve_in_span(columns: Sequence[Sequence], target: Sequence) -> list[Fractio
     for row, p in zip(reduced, pivots):
         coeffs[p] = row[k]
     return coeffs
-
-
-def in_span(columns: Sequence[Sequence], target: Sequence) -> bool:
-    return solve_in_span(columns, target) is not None

@@ -451,6 +451,10 @@ def masking_profile(
         raise ValueError("magnitude must be positive")
     if target in decoys:
         raise ValueError("target cannot be one of its own decoys")
+    n = m.outcome_space.n
+    for order in (target, *sorted(decoys)):
+        if order.n != n:
+            raise ValueError(f"{order} has n={order.n}, but the rule's outcomes have n={n}")
     space = m.ballot_space
     n_out = len(m.outcome_space)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations as _words
 
 from .cyclic_orders import (
@@ -199,6 +199,16 @@ class BallotSpace:
     def act_index(self, sigma: Permutation, i: int) -> int:
         return self._index[act_on_ballot(sigma, self.ballots[i])]
 
+    @cached_property
+    def action(self) -> ActionSpace:
+        """The index action, built once per space so its integer tables are shared."""
+        return ActionSpace(
+            dim=len(self),
+            n=self.n,
+            act=self.act_index,
+            name=f"{self.kind}{self.n}",
+        )
+
     def label(self, b: Ballot) -> str:
         return format_order(b) if isinstance(b, CyclicOrder) else str(b)
 
@@ -286,9 +296,4 @@ def outcome_space(n: int) -> BallotSpace:
 
 def action_space(space: BallotSpace) -> ActionSpace:
     """Adapter to the representation layer: the index action of the space."""
-    return ActionSpace(
-        dim=len(space),
-        n=space.n,
-        act=space.act_index,
-        name=f"{space.kind}{space.n}",
-    )
+    return space.action

@@ -136,6 +136,8 @@ def _cmd_orders(args) -> None:
 
 def _space_for_character(args) -> ballots.BallotSpace:
     kind = "cyclic" if args.space == "co" else args.space
+    if kind == "cyclic" and args.n < 3:
+        raise ValueError("cyclic orders need n >= 3")
     return ballots.build_ballot_space(kind, args.n, _default_ballot_ordering(kind, args.n))
 
 

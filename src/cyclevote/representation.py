@@ -4,14 +4,25 @@ An ActionSpace is any finite basis with an S_n action by index permutation.
 Its character counts fixed basis elements per conjugacy class; inner products
 with the irreducible characters give multiplicities, and group averaging with
 irreducible character weights gives the exact rational projector onto each
-isotypic component.  The n!-term averaging sum is exact and deliberately
-capped at small degrees (GROUP_SUM_LIMIT) where it is fast.
+isotypic component.
+
+The action is read from ``act`` once per generator and once per class
+representative.  The averaging sums run over a group table: the index
+permutation of every element of S_n, built on first use by breadth-first
+search from the generator moves, checked against ``act``, grouped by cycle
+type and kept on the space as one compact integer array.  The sums themselves
+are plain integer arithmetic.  The table has n! rows, so the averaging is
+capped at small degrees (GROUP_SUM_LIMIT).
 """
 from __future__ import annotations
 
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import _linalg as la
@@ -31,18 +42,111 @@ from .symmetric_group import (
     specht_dimension,
 )
 
-#: Degrees above this make the n!-term projector sum unreasonable.
+#: Degrees above this make the n!-row group table unreasonable.
 GROUP_SUM_LIMIT = 7
+
+#: (cycle type, start, stop): the slice of the flat table that one class fills.
+ClassSlice = tuple[Partition, int, int]
 
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """A basis 0..dim-1 with an S_n action: act(sigma, i) is an index."""
+    """A basis 0..dim-1 with an S_n action: act(sigma, i) is an index.
+
+    The integer views of the action are computed on first use and cached on
+    the instance (``act`` does not take part in equality, so no cache is
+    shared between spaces).
+    """
 
     dim: int
     n: int
     act: Callable[[Permutation, int], int] = field(compare=False)
     name: str = ""
+
+    def moves(self, sigma: Permutation) -> tuple[int, ...]:
+        """act(sigma, i) for every index i, checked to permute 0..dim-1."""
+        move = tuple(self.act(sigma, i) for i in range(self.dim))
+        if sorted(move) != list(range(self.dim)):
+            raise ValueError(
+                f"action {self.name!r}: {sigma} does not permute the indices 0..{self.dim - 1}"
+            )
+        return move
+
+    @cached_property
+    def generator_moves(self) -> tuple[tuple[int, ...], ...]:
+        """The index permutation of each element of generators(n)."""
+        return tuple(self.moves(g) for g in generators(self.n))
+
+    @cached_property
+    def class_moves(self) -> dict[Partition, tuple[int, ...]]:
+        """The index permutation of each cycle type's class_representative."""
+        return {mu: self.moves(class_representative(mu)) for mu in partitions(self.n)}
+
+    @cached_property
+    def group_table(self) -> tuple[array, tuple[ClassSlice, ...]]:
+        """The index permutation of every element of S_n; see _group_table."""
+        return _group_table(self)
+
+
+def _group_table(space: ActionSpace) -> tuple[array, tuple[ClassSlice, ...]]:
+    """Index permutations of all of S_n, row after row in one flat array.
+
+    Rows are ordered by cycle type, and each class's slice [start, stop) is
+    returned with the table, so table[start + i:stop:dim] lists rho(sigma)[i]
+    over the sigma of that class.  The rows are filled by breadth-first search
+    from the identity, stepping from sigma to sigma o g for each generator g
+    and composing rho(sigma o g)[i] = rho(sigma)[rho(g)[i]].  Every edge of the
+    search is checked, so the table is a homomorphism of S_n; each class
+    representative's row is then checked against act.
+    """
+    n, dim = space.n, space.dim
+    by_class: dict[Partition, list[tuple[int, ...]]] = {mu: [] for mu in partitions(n)}
+    for sigma in all_permutations(n):
+        by_class[cycle_type(sigma)].append(sigma.images)
+    position: dict[tuple[int, ...], int] = {}
+    slices = []
+    for mu, members in by_class.items():
+        start = len(position) * dim
+        for sigma in members:
+            position[sigma] = len(position)
+        slices.append((mu, start, len(position) * dim))
+    typecode = "H" if dim <= 1 << 16 else "L"
+    table = array(typecode, [0]) * (len(position) * dim)
+    seen = bytearray(len(position))
+
+    def row(sigma: tuple[int, ...]) -> slice:
+        k = position[sigma] * dim
+        return slice(k, k + dim)
+
+    # itemgetter(*move)(rho) is rho o move; with dim <= 1 the only move is the identity
+    steps = [(g.images, itemgetter(*move) if dim > 1 else tuple)
+             for g, move in zip(generators(n), space.generator_moves)]
+    identity = tuple(range(n))
+    table[row(identity)] = array(typecode, range(dim))
+    seen[position[identity]] = 1
+    queue = deque([identity])
+    while queue:
+        sigma = queue.popleft()
+        rho = table[row(sigma)]
+        for g, after in steps:
+            tau = tuple(sigma[x] for x in g)
+            image = array(typecode, after(rho))
+            if not seen[position[tau]]:
+                seen[position[tau]] = 1
+                table[row(tau)] = image
+                queue.append(tau)
+            elif table[row(tau)] != image:
+                raise ValueError(f"action {space.name!r} is not a homomorphism of S_{n}")
+    if sum(seen) != len(seen):
+        raise ValueError(
+            f"the generators reached {sum(seen)} of the {len(seen)} permutations of S_{n}"
+        )
+    for mu, move in space.class_moves.items():
+        if tuple(table[row(class_representative(mu).images)]) != move:
+            raise ValueError(
+                f"action {space.name!r}: the group table disagrees with act on class {mu}"
+            )
+    return table, tuple(slices)
 
 
 def _check_degree(n: int, limit: int | None = None) -> None:
@@ -65,11 +169,8 @@ def character_inner_product(c1: ClassFunction, c2: ClassFunction) -> Fraction:
 def space_character(space: ActionSpace) -> ClassFunction:
     """Fixed-point counts of the action, one value per conjugacy class."""
 
-    def fixed(mu: Partition) -> int:
-        sigma = class_representative(mu)
-        return sum(1 for i in range(space.dim) if space.act(sigma, i) == i)
-
-    return class_function(space.n, fixed)
+    moves = space.class_moves
+    return class_function(space.n, lambda mu: sum(1 for i, j in enumerate(moves[mu]) if i == j))
 
 
 @dataclass(frozen=True)
@@ -120,50 +221,71 @@ def decompose_character(chi: ClassFunction) -> DecompositionReport:
 def permutation_matrix(space: ActionSpace, sigma: Permutation) -> la.Matrix:
     """The 0/1 matrix of sigma acting on the basis (column j moves to act(sigma, j))."""
     one, zero = Fraction(1), Fraction(0)
-    cols = [space.act(sigma, j) for j in range(space.dim)]
+    cols = space.moves(sigma)
     return tuple(
         tuple(one if cols[j] == i else zero for j in range(space.dim))
         for i in range(space.dim)
     )
 
 
-def isotypic_projector(space: ActionSpace, lam: Partition, limit: int | None = None) -> la.Matrix:
-    """Exact projector onto the lam-isotypic component, by group averaging.
-
-    P = (dim lam / n!) * sum over sigma of chi_lam(sigma) * rho(sigma); the sum
-    runs over all n! permutations, accumulating one column move per element.
-    """
+def _weighted_classes(space: ActionSpace, lam: Partition,
+                      limit: int | None) -> list[tuple[int, int, int]]:
+    """(chi_lam(mu), start, stop) for each class mu of the group table with chi_lam(mu) != 0."""
     if lam.n != space.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
     _check_degree(space.n, limit)
-    acc = [[0] * space.dim for _ in range(space.dim)]
-    char_of = {mu: irreducible_character(lam, mu) for mu in partitions(space.n)}
-    for sigma in all_permutations(space.n):
-        weight = char_of[cycle_type(sigma)]
-        if not weight:
-            continue
-        for j in range(space.dim):
-            acc[space.act(sigma, j)][j] += weight
+    weighted = ((irreducible_character(lam, mu), start, stop)
+                for mu, start, stop in space.group_table[1])
+    return [w for w in weighted if w[0]]
+
+
+def isotypic_projector(space: ActionSpace, lam: Partition, limit: int | None = None) -> la.Matrix:
+    """Exact projector onto the lam-isotypic component, by group averaging.
+
+    P = (dim lam / n!) * sum over sigma of chi_lam(sigma) * rho(sigma).  As
+    chi(sigma) = chi(sigma^-1), row i of the sum counts, per class, how often
+    rho(sigma)[i] hits each index: one integer pass over column i of the table.
+    """
+    weighted = _weighted_classes(space, lam, limit)
+    table, dim = space.group_table[0], space.dim
+    acc = []
+    for i in range(dim):
+        row = [0] * dim
+        for weight, start, stop in weighted:
+            for j, count in Counter(table[start + i:stop:dim]).items():
+                row[j] += weight * count
+        acc.append(row)
     factor = Fraction(specht_dimension(lam), factorial(space.n))
     return tuple(tuple(factor * x for x in row) for row in acc)
 
 
 def project_vector(v: Sequence, space: ActionSpace, lam: Partition,
                    limit: int | None = None) -> la.Vector:
-    """Component of v in the lam-isotypic part; components over all lam sum to v."""
+    """Component of v in the lam-isotypic part; components over all lam sum to v.
+
+    With w = D*v in integers (D the lcm of v's denominators), entry i is
+    (dim lam / (n! * D)) * sum over classes mu of chi_lam(mu) * sum over
+    sigma in mu of w[rho(sigma)[i]].  This is P v, exact, because
+    chi(sigma) = chi(sigma^-1); the dense P is never built.
+    """
     if len(v) != space.dim:
         raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
-    return la.mat_vec(isotypic_projector(space, lam, limit), v)
-
-
-def projector_rank(space: ActionSpace, lam: Partition) -> int:
-    return la.rank(isotypic_projector(space, lam))
+    weighted = _weighted_classes(space, lam, limit)
+    table, dim = space.group_table[0], space.dim
+    nums, den = la._scaled_ints(v)
+    pick = nums.__getitem__
+    factor = Fraction(specht_dimension(lam), factorial(space.n) * den)
+    return tuple(
+        factor * sum(weight * sum(map(pick, table[start + i:stop:dim]))
+                     for weight, start, stop in weighted)
+        for i in range(dim)
+    )
 
 
 def is_equivariant_matrix(space: ActionSpace, matrix: Sequence[Sequence]) -> bool:
-    """True when the matrix commutes with the action of a generating set."""
-    for g in generators(space.n):
-        rho = permutation_matrix(space, g)
-        if la.mat_mul(rho, matrix) != la.mat_mul(matrix, rho):
-            return False
-    return True
+    """True when matrix[rho(i)][rho(j)] == matrix[i][j] for each generator move rho."""
+    indices = range(space.dim)
+    return all(
+        matrix[move[i]][move[j]] == matrix[i][j]
+        for move in space.generator_moves for i in indices for j in indices
+    )

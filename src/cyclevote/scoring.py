@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .ballots import Ballot, BallotSpace, build_ballot_space, outcome_space
+from .ballots import Ballot, BallotSpace, action_space, build_ballot_space, outcome_space
 from .cyclic_orders import (
     CyclicOrder,
     classify_pair,
@@ -30,7 +30,6 @@ from .cyclic_orders import (
     reverse_order,
     transposition_distance,
 )
-from .symmetric_group import generators
 
 
 class SeedConflictError(ValueError):
@@ -66,14 +65,14 @@ class ScoringMatrix:
 
     def is_neutral(self) -> bool:
         """Check entry[sh][sg] == entry[h][g] for a generating set, all cells."""
-        for sigma in generators(self.ballot_space.n):
-            for h in range(len(self.outcome_space)):
-                sh = self.outcome_space.act_index(sigma, h)
-                for g in range(len(self.ballot_space)):
-                    sg = self.ballot_space.act_index(sigma, g)
-                    if self.entries[sh][sg] != self.entries[h][g]:
-                        return False
-        return True
+        moves = zip(action_space(self.outcome_space).generator_moves,
+                    action_space(self.ballot_space).generator_moves)
+        return all(
+            self.entries[om[h]][bm[g]] == x
+            for om, bm in moves
+            for h, row in enumerate(self.entries)
+            for g, x in enumerate(row)
+        )
 
 
 def format_rational(x: Fraction) -> str:
@@ -92,11 +91,10 @@ def _pair_orbits(ballot_space: BallotSpace, outcomes: BallotSpace) -> tuple[tupl
     Returns a flat row-major tuple of orbit ids and the orbit count.  Ids are
     assigned in scan order, so they are deterministic for a given space pair.
     """
-    gens = generators(ballot_space.n)
     n_out, n_bal = len(outcomes), len(ballot_space)
     ids = [-1] * (n_out * n_bal)
-    ballot_moves = [[ballot_space.act_index(g, i) for i in range(n_bal)] for g in gens]
-    outcome_moves = [[outcomes.act_index(g, i) for i in range(n_out)] for g in gens]
+    ballot_moves = action_space(ballot_space).generator_moves
+    outcome_moves = action_space(outcomes).generator_moves
     count = 0
     for start in range(n_out * n_bal):
         if ids[start] >= 0:

@@ -145,3 +145,22 @@ def test_deterministic_output(capsys):
     second = run(capsys, "scaling", "--rule", "generic5", "--params", "4,0,3,1,2,2,1,1")
     assert first == second
     assert first[0] == 0
+
+
+def test_mask_rejects_orders_of_another_degree(capsys):
+    for target, decoys in (("(ACBD)", "(ABCDE)"), ("(ACBDE)", "(ABCD)"),
+                           ("(ACBD)", "(ABCD),(ABCDE)")):
+        code, out, err = run(capsys, "mask", "--rule", "rolo21", "--target", target,
+                             "--decoys", decoys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "n=5" in err
+
+
+def test_cyclic_characters_need_n_at_least_3(capsys):
+    for command in ("characters", "decompose"):
+        for n in ("1", "2"):
+            code, out, err = run(capsys, command, "--space", "co", "--n", n)
+            assert code == 2 and out == ""
+            assert err == "error: cyclic orders need n >= 3\n"
+        code, out, _ = run(capsys, command, "--space", "co", "--n", "3")
+        assert code == 0 and out

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import cyclevote._linalg as la
+import cyclevote.representation as representation
 from cyclevote.ballots import action_space, build_ballot_space
 from cyclevote.cyclic_orders import co_character
 from cyclevote.representation import (
@@ -15,12 +18,20 @@ from cyclevote.representation import (
     project_vector,
     space_character,
 )
+from cyclevote.scoring import rule
 from cyclevote.symmetric_group import (
     ClassFunction,
     Partition,
+    all_permutations,
     class_function,
+    class_representative,
+    cycle_type,
+    generators,
+    identity,
+    irreducible_character,
     irreducible_class_function,
     partitions,
+    specht_dimension,
 )
 
 
@@ -160,3 +171,115 @@ def test_permutation_matrix_shape():
     rho = permutation_matrix(space, full_cycle(4))
     assert all(sum(row) == 1 for row in rho)
     assert all(sum(col) == 1 for col in zip(*rho))
+
+
+# -- the group table against the per-element group sum ----------------------
+
+def _brute_projector(space, lam):
+    """The projector by one act call per basis index and group element."""
+    acc = [[0] * space.dim for _ in range(space.dim)]
+    char_of = {mu: irreducible_character(lam, mu) for mu in partitions(space.n)}
+    for sigma in all_permutations(space.n):
+        weight = char_of[cycle_type(sigma)]
+        if not weight:
+            continue
+        for j in range(space.dim):
+            acc[space.act(sigma, j)][j] += weight
+    factor = Fraction(specht_dimension(lam), factorial(space.n))
+    return tuple(tuple(factor * x for x in row) for row in acc)
+
+
+def _fresh_action(kind, n, ordering="canonical"):
+    """An action with no cached tables, so each test builds its own."""
+    space = build_ballot_space(kind, n, ordering)
+    return ActionSpace(len(space), n, space.act_index, f"{kind}{n}")
+
+
+@pytest.mark.parametrize("kind,n,ordering", [
+    ("cyclic", 4, "paper"), ("cyclic", 5, "paper"), ("rolo", 4, "paper"),
+    ("trad", 4, "canonical"), ("rolo", 5, "canonical"),
+])
+def test_projector_matches_brute_oracle(kind, n, ordering):
+    space = _fresh_action(kind, n, ordering)
+    for lam in partitions(n):
+        assert isotypic_projector(space, lam) == _brute_projector(space, lam), lam
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "rolo"])
+def test_project_vector_matches_brute_oracle(kind):
+    space = _fresh_action(kind, 6)
+    rng = random.Random(20221108)
+    for parts in ((3, 3), (4, 1, 1)):
+        lam = Partition(parts)
+        brute = _brute_projector(space, lam)
+        v = [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 7, 12)))
+             for _ in range(space.dim)]
+        assert any(x.denominator > 1 for x in v)
+        assert project_vector(v, space, lam) == la.mat_vec(brute, v)
+
+
+def test_equivariance_check_matches_dense_commutator():
+    space = co_space(4)
+
+    def dense(matrix):
+        for g in generators(4):
+            rho = permutation_matrix(space, g)
+            if la.mat_mul(rho, matrix) != la.mat_mul(matrix, rho):
+                return False
+        return True
+
+    rng = random.Random(7)
+    swap = permutation_matrix(space, generators(4)[0])  # fixed by the transposition only
+    candidates = [rule("generic4", 2, 1, 0).entries, la.identity_matrix(6), swap]
+    candidates += [[[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)] for _ in range(20)]
+    for m in candidates:
+        assert is_equivariant_matrix(space, m) == dense(m)
+    assert not is_equivariant_matrix(space, swap)
+    assert not is_equivariant_matrix(space, candidates[-1])
+
+
+def test_group_table_layout():
+    space = _fresh_action("cyclic", 5, "paper")
+    table, slices = space.group_table
+    assert len(table) == factorial(5) * space.dim
+    assert [mu for mu, _, _ in slices] == list(partitions(5))
+    assert slices[0][1] == 0 and slices[-1][2] == len(table)
+    for mu, start, stop in slices:
+        rows = {tuple(table[k:k + space.dim]) for k in range(start, stop, space.dim)}
+        assert tuple(space.moves(class_representative(mu))) in rows
+        assert len(rows) == (stop - start) // space.dim
+
+
+# -- validation of the action ----------------------------------------------
+
+def test_action_must_permute_the_indices():
+    collapse = ActionSpace(dim=3, n=3, act=lambda s, i: 0, name="collapse")
+    with pytest.raises(ValueError, match="does not permute"):
+        isotypic_projector(collapse, Partition((3,)))
+    with pytest.raises(ValueError, match="does not permute"):
+        space_character(collapse)
+    out_of_range = ActionSpace(dim=2, n=3, act=lambda s, i: i + 1)
+    with pytest.raises(ValueError, match="does not permute"):
+        project_vector((1, 2), out_of_range, Partition((3,)))
+
+
+def test_action_must_be_a_homomorphism():
+    # both generators swap the two indices, but the 3-cycle has order 3
+    swap = ActionSpace(dim=2, n=3, act=lambda s, i: 1 - i if s(0) != 0 else i, name="swap")
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        isotypic_projector(swap, Partition((3,)))
+
+
+def test_group_table_checked_against_act_on_class_representatives():
+    base = co_space(4)
+    odd = class_representative(Partition((2, 2)))
+    liar = ActionSpace(base.dim, 4, lambda s, i: i if s == odd else base.act(s, i), "liar")
+    with pytest.raises(ValueError, match="disagrees with act on class 2\\+2"):
+        project_vector((1,) * 6, liar, Partition((4,)))
+
+
+def test_generators_must_reach_the_whole_group(monkeypatch):
+    monkeypatch.setattr(representation, "generators", lambda n: (identity(n), identity(n)))
+    space = ActionSpace(dim=2, n=3, act=lambda s, i: i)
+    with pytest.raises(ValueError, match="reached 1 of the 6"):
+        isotypic_projector(space, Partition((3,)))
