@@ -477,20 +477,22 @@ def masking_profile(
         )
 
     ones = la.vec([1] * len(space))
-    chosen = None
     for doublings in range(24):
         beta = magnitude * (2**doublings)
         candidate = la.add(base, la.scale(beta, boost))
         low = min(candidate)
         shifted = la.add(candidate, la.scale(-low, ones)) if low < 0 else candidate
-        chosen = shifted
         masked_mass = sum(
             (w for w, fav in zip(shifted, favorites) if fav != target), Fraction(0)
         )
         if 2 * masked_mass > sum(shifted, Fraction(0)):
             break
+    else:
+        raise MaskingInfeasibleError(
+            f"no strict weight majority away from {target} after 24 doublings"
+        )
 
-    result = Profile(space, chosen)
+    result = Profile(space, shifted)
     outcome = tally(m, result)
     if outcome.winners != frozenset({target}):
         raise MaskingInfeasibleError(

@@ -150,12 +150,6 @@ def _consistent(b: Ballot, x: CyclicOrder) -> bool:
     raise TypeError(f"not a partial ballot: {b!r}")
 
 
-def trad_score(b: TradBallot, x: CyclicOrder) -> int:
-    """How many of the ballot's two conditions the order fulfils (0, 1 or 2)."""
-    opposite = {frozenset((x.seq[i], x.seq[(i + 2) % 4])) for i in range(4)}
-    return (frozenset(b.opposite) in opposite) + (b.adjacency in _successors(x))
-
-
 class BallotSpace:
     """An indexed enumeration of one ballot kind with its relabelling action."""
 

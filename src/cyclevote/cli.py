@@ -265,14 +265,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report("usage error", exc)
         return 1
     try:
         _COMMANDS[args.command](args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return 2
     return 0
+
+
+def _report(kind: str, exc: Exception) -> None:
+    """One stderr line per failure, even when the message quotes a raw argument."""
+    message = str(exc).replace("\n", "\\n")
+    print(f"{kind}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,9 @@ of ordered pairs under simultaneous relabelling.
 """
 from __future__ import annotations
 
-import json
-import os
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as _words
 from math import factorial
@@ -27,7 +25,6 @@ from .symmetric_group import (
     Partition,
     Permutation,
     class_function,
-    generators,
 )
 
 #: Reference enumeration for n=4: reversal pairs adjacent, (ACBD) first.
@@ -127,6 +124,10 @@ class OrderingTable:
     n: int
     kind: str
     orders: tuple[CyclicOrder, ...]
+    _index: dict[CyclicOrder, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.orders)})
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -138,12 +139,7 @@ class OrderingTable:
         return self.orders[i]
 
     def index_of(self, x: CyclicOrder) -> int:
-        return _table_index(self)[x]
-
-
-@lru_cache(maxsize=None)
-def _table_index(table: OrderingTable) -> dict[CyclicOrder, int]:
-    return {x: i for i, x in enumerate(table.orders)}
+        return self._index[x]
 
 
 @lru_cache(maxsize=None)
@@ -202,11 +198,18 @@ def co_character(n: int) -> ClassFunction:
 
 # -- transposition distance -------------------------------------------------
 
-def _cache_path(n: int) -> str | None:
-    root = os.environ.get("CYCLEVOTE_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"distance{n}.json")
+def _relabel_to_base(x: CyclicOrder, y: CyclicOrder) -> tuple[int, ...]:
+    """The seats of tau*y, where tau relabels x to the base order (A B ... N).
+
+    tau(x.seq[i]) = i.  Both sequences start at label 0 and tau fixes 0, so the
+    result is already in canonical rotation.
+    """
+    if x.n != y.n:
+        raise ValueError(f"degree mismatch: {x.n} vs {y.n}")
+    tau = [0] * x.n
+    for i, label in enumerate(x.seq):
+        tau[label] = i
+    return tuple(tau[label] for label in y.seq)
 
 
 def _adjacent_swaps(x: CyclicOrder) -> list[CyclicOrder]:
@@ -220,35 +223,20 @@ def _adjacent_swaps(x: CyclicOrder) -> list[CyclicOrder]:
     return out
 
 
+# bench/worker.py wraps this function by the name _distance_matrix.
 @lru_cache(maxsize=None)
-def _distance_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """All-pairs transposition distance on the canonical table, BFS per source."""
-    path = _cache_path(n)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return tuple(tuple(row) for row in json.load(fh))
-    table = enumerate_orders(n)
-    neighbours = [
-        [table.index_of(y) for y in _adjacent_swaps(x)] for x in table
-    ]
-    rows = []
-    for src in range(len(table)):
-        dist = [-1] * len(table)
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            i = queue.popleft()
-            for j in neighbours[i]:
-                if dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        rows.append(tuple(dist))
-    matrix = tuple(rows)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump([list(r) for r in matrix], fh)
-    return matrix
+def _distance_matrix(n: int) -> dict[tuple[int, ...], int]:
+    """Transposition distance from the base order to every order, by one BFS."""
+    base = CyclicOrder(tuple(range(n)))
+    dist = {base.seq: 0}
+    queue = deque([base])
+    while queue:
+        x = queue.popleft()
+        for y in _adjacent_swaps(x):
+            if y.seq not in dist:
+                dist[y.seq] = dist[x.seq] + 1
+                queue.append(y)
+    return dist
 
 
 def transposition_distance(x: CyclicOrder, y: CyclicOrder) -> int:
@@ -256,12 +244,10 @@ def transposition_distance(x: CyclicOrder, y: CyclicOrder) -> int:
 
     Swapping the labels at two adjacent seats is the relabelling by the
     transposition of those two labels, so this is a graph distance on the set
-    of cyclic orders and is invariant under joint relabelling.
+    of cyclic orders and is invariant under joint relabelling: d(x, y) equals
+    d(base, tau*y) for the tau that relabels x to the base order.
     """
-    if x.n != y.n:
-        raise ValueError(f"degree mismatch: {x.n} vs {y.n}")
-    table = enumerate_orders(x.n)
-    return _distance_matrix(x.n)[table.index_of(x)][table.index_of(y)]
+    return _distance_matrix(x.n)[_relabel_to_base(x, y)]
 
 
 # -- orbit classification of pairs ------------------------------------------
@@ -296,18 +282,19 @@ _PAIR_NAMES_4 = (
 )
 
 
-def _orbit_representative(x: CyclicOrder, y: CyclicOrder) -> tuple[CyclicOrder, CyclicOrder]:
-    gens = generators(x.n)
-    seen = {(x, y)}
-    queue = deque([(x, y)])
-    while queue:
-        a, b = queue.popleft()
-        for g in gens:
-            nxt = (act_on_order(g, a), act_on_order(g, b))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return min(seen)
+def _pair_representative(x: CyclicOrder, y: CyclicOrder) -> tuple[CyclicOrder, CyclicOrder]:
+    """The least pair in the diagonal orbit of (x, y).
+
+    Relabelling acts transitively on cyclic orders, so the least first entry
+    in the orbit is the base order, and the pairs starting with it are
+    (base, rho_k tau*y) for the base order's stabiliser: the n rotations
+    rho_k: i -> i+k mod n.
+    """
+    word = _relabel_to_base(x, y)
+    n = x.n
+    return CyclicOrder(tuple(range(n))), min(
+        canonicalize([(label + k) % n for label in word]) for k in range(n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +303,7 @@ def _named_representatives(n: int) -> dict[tuple[CyclicOrder, CyclicOrder], str]
     base = parse_order("ABCDE" if n == 5 else "ACBD") if names else None
     out = {}
     for tag, second in names:
-        out[_orbit_representative(base, parse_order(second))] = tag
+        out[_pair_representative(base, parse_order(second))] = tag
     return out
 
 
@@ -327,9 +314,7 @@ def classify_pair(x: CyclicOrder, y: CyclicOrder) -> PairClass:
     Transposition, TranspositionReversal, ThreeCycle, DoubleTransposition,
     Step, StepReversal); elsewhere the tag is the canonical representative.
     """
-    if x.n != y.n:
-        raise ValueError(f"degree mismatch: {x.n} vs {y.n}")
-    rep = _orbit_representative(x, y)
+    rep = _pair_representative(x, y)
     tag = _named_representatives(x.n).get(rep)
     if tag is None:
         tag = f"{rep[0]}~{rep[1]}"
@@ -339,5 +324,4 @@ def classify_pair(x: CyclicOrder, y: CyclicOrder) -> PairClass:
 def pair_orbit_count(n: int) -> int:
     """Number of diagonal orbits on ordered pairs of cyclic orders."""
     table = enumerate_orders(n)
-    reps = {_orbit_representative(x, y) for x in table for y in table}
-    return len(reps)
+    return len({_pair_representative(table[0], y) for y in table})

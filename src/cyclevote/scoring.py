@@ -295,6 +295,11 @@ def parse_seed_file(text: str, ballot_space: BallotSpace) -> list[tuple[Ballot, 
             raise ValueError(f"seed line {lineno}: expected 3 fields, got {len(fields)}")
         ballot = ballot_space.parse(fields[0])
         order = parse_order(fields[1])
+        if order.n != ballot_space.n:
+            raise ValueError(
+                f"seed line {lineno}: order {order} has n={order.n}, "
+                f"ballots have n={ballot_space.n}"
+            )
         try:
             value = Fraction(fields[2])
         except (ValueError, ZeroDivisionError):

@@ -303,6 +303,18 @@ def test_masking_profile_infeasible_cases():
         masking_profile(rule("rolo21"), target, set(), 0)
 
 
+def test_masking_profile_requires_a_raw_weight_majority(monkeypatch):
+    # With every ballot favouring the target, no kernel boost can give the
+    # other orders a weight majority, so the doubling loop must give up.
+    import cyclevote.analysis as analysis
+
+    target = parse_order("(ACBD)")
+    monkeypatch.setattr(analysis, "favorite_order", lambda b, n: target)
+    monkeypatch.setattr(analysis, "_project_onto_span", lambda rows, v: la.zeros(len(v)))
+    with pytest.raises(MaskingInfeasibleError, match="majority"):
+        masking_profile(rule("rolo21"), target, {parse_order("(ABCD)")}, 1)
+
+
 def test_profile_file_roundtrip():
     space = build_ballot_space("rolo", 4, "paper")
     text = "# leading comment\nA|D,C\t3\nB|C,D\t-1/2\n"

@@ -12,6 +12,7 @@ from cyclevote.ballots import (
     trad_ballot,
 )
 from cyclevote.cyclic_orders import act_on_order, enumerate_orders, parse_order
+from cyclevote.scoring import rule
 from cyclevote.symmetric_group import all_permutations, identity, parse_permutation
 from _goldens import CO4_ORDER, ROLO4_ORDER, TRAD4_FIRST
 
@@ -149,3 +150,18 @@ def test_unknown_kind_errors():
         build_ballot_space("approval", 4)
     with pytest.raises(ValueError):
         parse_ballot("(ABCD)", "approval")
+
+
+def trad_score(b, x):
+    """How many of the TRAD ballot's two conditions the order x fulfils (0, 1 or 2)."""
+    seats = x.seq
+    opposite = {frozenset((seats[i], seats[(i + 2) % 4])) for i in range(4)}
+    successors = {(seats[i], seats[(i + 1) % 4]) for i in range(4)}
+    return (frozenset(b.opposite) in opposite) + (b.adjacency in successors)
+
+
+def test_trad21_scores_conditions_met():
+    m = rule("trad21")
+    assert m.ballot_space == build_ballot_space("trad", 4)
+    for h, row in zip(m.outcome_space, m.entries):
+        assert row == tuple(trad_score(b, h) for b in m.ballot_space)

@@ -1,3 +1,8 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
+
 from cyclevote.cli import main
 from _goldens import CO4_ORDER, CO5_ORDER
 
@@ -164,3 +169,56 @@ def test_cyclic_characters_need_n_at_least_3(capsys):
             assert err == "error: cyclic orders need n >= 3\n"
         code, out, _ = run(capsys, command, "--space", "co", "--n", "3")
         assert code == 0 and out
+
+
+def test_seed_order_of_another_degree(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("# header\nABCD ABC 1\n")
+    code, out, err = run(
+        capsys, "matrix", "--rule", "orbit_seeds", "--seeds", str(seeds),
+        "--ballots", "cyclic", "--n", "4",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: seed line 2: order (ABC) has n=3, ballots have n=4\n"
+
+
+_ORDER_LITERALS = (
+    "(ABCDE)", "ACBD", "(0,2,1,3)", "0 1 2", "A", "AB", "(BCA)", "(ABCDEFGH)",
+    "", "(", "()", "(AXBD)", "(AAB)", "(BCD)", "1,x", "-1", "A\nB",
+)
+_FLAG_VALUES = {
+    "--x": _ORDER_LITERALS,
+    "--y": _ORDER_LITERALS,
+    "--n": ("0", "1", "2", "3", "4", "5", "-1", "x", ""),
+    "--ordering": ("paper", "canonical", "sideways"),
+    "--space": ("co", "rolo", "trad", "cyclic"),
+}
+_COMMAND_FLAGS = {
+    "distance": ("--x", "--y"),
+    "classify": ("--x", "--y"),
+    "orders": ("--n", "--ordering"),
+    "characters": ("--space", "--n"),
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = draw(st.sampled_from([[], [], ["--max-n", "4"], ["--max-n", "x"]]))
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv.append(command)
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(st.integers(0, 5)):
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    stray = [[], [], [], [], ["extra"], ["--n"], ["--space", "co"], ["--x", "A\nB"]]
+    return argv + draw(st.sampled_from(stray))
+
+
+@given(_argv())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert (code == 0) == (err.getvalue() == "")

@@ -1,10 +1,14 @@
-from collections import Counter
+import random
+from collections import Counter, deque
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclevote.ballots import build_ballot_space
 from cyclevote.cyclic_orders import (
+    _PAIR_NAMES_4,
+    _PAIR_NAMES_5,
     CyclicOrder,
     act_on_order,
     canonicalize,
@@ -24,10 +28,12 @@ from cyclevote.symmetric_group import (
     class_representative,
     compose,
     cycle_type,
+    generators,
     identity,
     parse_permutation,
     partitions,
 )
+from cyclevote.scoring import orbit_count
 from _goldens import CO4_ORDER, CO5_ORDER
 
 perms5 = st.permutations(range(5)).map(lambda w: Permutation(tuple(w)))
@@ -200,7 +206,7 @@ def test_classify_examples():
     assert classify_pair(x, parse_order("(ACEBD)")).tag == "Step"
     assert classify_pair(x, parse_order("(AEDCB)")).tag == "Reversal"
     assert classify_pair(x, x).tag == "Same"
-    assert pair_orbit_count(4) == 3
+    assert [pair_orbit_count(n) for n in (3, 4, 5, 6, 7)] == [2, 3, 8, 24, 108]
     with pytest.raises(ValueError):
         classify_pair(x, parse_order("(ABC)"))
 
@@ -254,15 +260,123 @@ def test_classify_unnamed_degree_uses_representative():
     assert tag.startswith("(") and "~" in tag
 
 
-def test_distance_matrix_cache_roundtrip(tmp_path, monkeypatch):
-    from cyclevote import cyclic_orders as co
+# -- brute-force oracles: the all-pairs BFS and the orbit BFS over joint relabellings
 
-    monkeypatch.setenv("CYCLEVOTE_CACHE_DIR", str(tmp_path))
-    co._distance_matrix.cache_clear()
-    first = co._distance_matrix(4)
-    assert (tmp_path / "distance4.json").exists()
-    co._distance_matrix.cache_clear()
-    assert co._distance_matrix(4) == first
-    co._distance_matrix.cache_clear()
-    monkeypatch.delenv("CYCLEVOTE_CACHE_DIR")
-    assert co._distance_matrix(4) == first
+def _swap_neighbours(x):
+    """Relabel x by the transposition of the labels at each pair of adjacent seats."""
+    out = []
+    for i in range(x.n):
+        a, b = x.seq[i], x.seq[(i + 1) % x.n]
+        images = list(range(x.n))
+        images[a], images[b] = b, a
+        out.append(act_on_order(Permutation(tuple(images)), x))
+    return out
+
+
+def _brute_distance_matrix(n):
+    """All-pairs transposition distance on the canonical table, one BFS per source."""
+    table = enumerate_orders(n)
+    neighbours = [[table.index_of(y) for y in _swap_neighbours(x)] for x in table]
+    rows = []
+    for src in range(len(table)):
+        dist = [-1] * len(table)
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            i = queue.popleft()
+            for j in neighbours[i]:
+                if dist[j] < 0:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def _brute_orbit(x, y):
+    """Every pair in the orbit of (x, y) under joint relabelling, by BFS over generators."""
+    gens = generators(x.n)
+    seen = {(x, y)}
+    queue = deque([(x, y)])
+    while queue:
+        a, b = queue.popleft()
+        for g in gens:
+            nxt = (act_on_order(g, a), act_on_order(g, b))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def _seeded_pairs(n, count, seed):
+    rnd = random.Random(seed)
+    table = enumerate_orders(n)
+    return [(rnd.choice(table.orders), rnd.choice(table.orders)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_distance_matches_all_pairs_bfs(n):
+    table = enumerate_orders(n)
+    matrix = _brute_distance_matrix(n)
+    for i, x in enumerate(table):
+        assert tuple(transposition_distance(x, y) for y in table) == matrix[i]
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_distance_matches_all_pairs_bfs_sampled(n):
+    table = enumerate_orders(n)
+    matrix = _brute_distance_matrix(n)
+    for x, y in _seeded_pairs(n, 300, n):
+        assert transposition_distance(x, y) == matrix[table.index_of(x)][table.index_of(y)]
+
+
+def _assert_matches_orbit_bfs(x, y):
+    orbit = _brute_orbit(x, y)
+    cls = classify_pair(x, y)
+    assert cls.representative == min(orbit)
+    if x.n in (4, 5):
+        # a named orbit is the one holding its anchor pair
+        base, anchors = (("ABCDE", _PAIR_NAMES_5) if x.n == 5 else ("ACBD", _PAIR_NAMES_4))
+        named = [tag for tag, second in anchors
+                 if (parse_order(base), parse_order(second)) in orbit]
+        assert [cls.tag] == named
+    else:
+        assert cls.tag == f"{cls.representative[0]}~{cls.representative[1]}"
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_classify_matches_orbit_bfs(n):
+    table = enumerate_orders(n)
+    for x in table:
+        for y in table:
+            _assert_matches_orbit_bfs(x, y)
+
+
+def test_classify_matches_orbit_bfs_sampled_n6():
+    for x, y in _seeded_pairs(6, 40, 6):
+        _assert_matches_orbit_bfs(x, y)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_pair_orbit_count_matches_orbit_bfs(n):
+    table = enumerate_orders(n)
+    seen, count = set(), 0
+    for x in table:
+        for y in table:
+            if (x, y) not in seen:
+                seen |= _brute_orbit(x, y)
+                count += 1
+    assert pair_orbit_count(n) == count
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_pair_orbit_count_matches_scoring_orbits(n):
+    space = build_ballot_space("cyclic", n, "canonical")
+    assert pair_orbit_count(n) == orbit_count(space, space)
+
+
+def test_ordering_table_index_of():
+    for kind, n in (("canonical", 6), ("paper", 5)):
+        table = enumerate_orders(n, kind)
+        assert [table.index_of(x) for x in table] == list(range(len(table)))
+    with pytest.raises(KeyError):
+        enumerate_orders(4).index_of(parse_order("(ABCDE)"))
