@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists/tuples of equal-length rows of ints or Fractions.
-Row reduction comes in two flavours: fraction-free (Bareiss) elimination on
-integer-cleared rows, used for ranks and null spaces, and ordinary reduced
-row echelon form over Fraction, used for solving and canonical bases.
-Everything here is exact; no floats ever appear.
+Matrices are lists/tuples of equal-length rows of ints or Fractions.  All row
+reduction is one fraction-free Gauss–Jordan pass, `_eliminate`: each row is
+cleared of denominators, rows are combined by integer cross-multiplication,
+and every combined row is divided by the gcd of its entries, which keeps the
+integers small.  The pass leaves each pivot row zero in every other pivot
+column, so dividing a pivot row by its pivot entry gives the reduced row
+echelon form.  That form is unique, so `rank`, `rref` and the canonical
+`nullspace` basis all read off the same integer rows.  `SpanSolver` runs the
+pass once on [A | I] and keeps the integer transform, so every later solve
+against the same columns is one integer mat-vec.  Everything here is exact;
+no floats ever appear.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -47,35 +54,34 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 
 def _scaled_ints(v: Sequence) -> tuple[list[int], int]:
     """Write v as (integer vector) / denominator, exactly."""
-    den = 1
-    for x in v:
-        d = x.denominator if isinstance(x, Fraction) else 1
-        den = den * d // gcd(den, d)
-    nums = [
-        x.numerator * (den // x.denominator) if isinstance(x, Fraction) else x * den
-        for x in v
-    ]
-    return nums, den
+    den = lcm(*[x.denominator for x in v])
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vector:
-    # scale to integers once, multiply in int arithmetic, normalise per entry
+class ScaledMatrix:
+    """A rational matrix held as (integer row, denominator) pairs.
+
+    mat_vec accepts one in place of the matrix, so a matrix multiplied many
+    times clears the denominators of its rows only once.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, m: Sequence[Sequence]):
+        self.rows = [_scaled_ints(row) for row in m]
+
+
+def mat_vec(m: Sequence[Sequence] | ScaledMatrix, v: Sequence) -> Vector:
+    rows = m.rows if isinstance(m, ScaledMatrix) else ScaledMatrix(m).rows
     nv, dv = _scaled_ints(v)
-    scaled_rows = [_scaled_ints(row) for row in m]
-    return tuple(
-        Fraction(sum(a * b for a, b in zip(nr, nv)), dr * dv) for nr, dr in scaled_rows
-    )
+    return tuple(Fraction(sum(map(mul, nr, nv)), dr * dv) for nr, dr in rows)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    scaled_a = [_scaled_ints(row) for row in a]
-    scaled_b = [_scaled_ints(col) for col in zip(*b)]
+    scaled_b = ScaledMatrix(zip(*b)).rows
     return tuple(
-        tuple(
-            Fraction(sum(x * y for x, y in zip(nr, nc)), dr * dc)
-            for nc, dc in scaled_b
-        )
-        for nr, dr in scaled_a
+        tuple(Fraction(sum(map(mul, nr, nc)), dr * dc) for nc, dc in scaled_b)
+        for nr, dr in ScaledMatrix(a).rows
     )
 
 
@@ -92,52 +98,51 @@ def is_zero(v: Sequence) -> bool:
     return all(x == 0 for x in v)
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (row space unchanged)."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        out.append([int(x * mult) for x in fr])
-    return out
+def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
+    """Fraction-free Gauss–Jordan on integer rows, in place; returns the pivot columns.
 
-
-def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free echelon form of an integer matrix.
-
-    Returns the echelon rows (trailing zero rows dropped) and the pivot
-    columns.  All intermediate divisions are exact by the Bareiss identity.
+    Pivots are sought in the first pivot_cols columns only, left to right.
+    Afterwards row i (i < number of pivots) is the i-th pivot row: every other
+    pivot column holds 0 in it.  The rows after the pivot rows are zero in the
+    first pivot_cols columns.  A row is only ever replaced by a nonzero
+    multiple of itself plus a multiple of the pivot row, so the row space is
+    unchanged.
     """
-    m = [r[:] for r in _integer_rows(rows)]
-    if not m:
-        return [], []
-    ncols = len(m[0])
     pivots: list[int] = []
-    prev = 1
+    nrows = len(m)
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(pivot_cols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        for i in range(r + 1, len(m)):
-            for j in range(ncols):
-                if j == c:
-                    continue
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+        g = gcd(*m[r])
+        prow = m[r] = [x // g for x in m[r]]
+        p = prow[c]
+        for i in range(nrows):
+            k = m[i][c]
+            if k and i != r:
+                g = gcd(p, k)
+                a, b = p // g, k // g
+                row = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return pivots
+
+
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """The pivot rows of the integer Gauss–Jordan form, and the pivot columns."""
+    m = [_scaled_ints(row)[0] for row in rows]
+    pivots = _eliminate(m, len(m[0]) if m else 0)
+    return m[:len(pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_bareiss(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
@@ -149,66 +154,97 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
     if not rows:
         return []
     ncols = len(rows[0])
-    ech, pivots = _bareiss(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    ech, pivots = _echelon(rows)
+    taken = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for i in reversed(range(len(pivots))):
-            p = pivots[i]
-            s = sum((Fraction(ech[i][j]) * x[j] for j in range(p + 1, ncols)), Fraction(0))
-            x[p] = -s / ech[i][p]
+    for f in range(ncols):
+        if f in taken:
+            continue
+        x = [zero] * ncols
+        x[f] = one
+        for row, p in zip(ech, pivots):
+            if row[f]:
+                x[p] = Fraction(-row[f], row[p])
         basis.append(tuple(x))
     return basis
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form over Fraction; returns (nonzero rows, pivot cols)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                k = m[i][c]
-                m[i] = [a - k * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
+    """Reduced row echelon form; returns (nonzero rows, pivot cols)."""
+    ech, pivots = _echelon(rows)
+    return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(ech, pivots)], pivots
 
 
 def row_space_basis(rows: Sequence[Sequence]) -> list[Vector]:
     return rref(rows)[0]
 
 
-def solve_in_span(columns: Sequence[Sequence], target: Sequence) -> list[Fraction] | None:
-    """Express target as a combination of the given column vectors.
+def project_onto_span(rows: Sequence[Sequence], v: Sequence) -> Vector:
+    """Orthogonal projection of v onto the span of rows, by the exact normal equations."""
+    basis, _ = _echelon(rows)
+    if not basis:
+        return zeros(len(v))
+    nv, dv = _scaled_ints(v)
+    gram = [[sum(map(mul, a, b)) for b in basis] for a in basis]  # symmetric
+    coeffs = solve_in_span(gram, [Fraction(sum(map(mul, a, nv)), dv) for a in basis])
+    if coeffs is None:
+        raise ArithmeticError("Gram matrix of independent rows is singular")
+    return mat_vec(list(zip(*basis)), coeffs)
 
-    Columns are taken in order: a column linearly dependent on the earlier
+
+class SpanSolver:
+    """Coordinates over a fixed list of columns, factored once.
+
+    The columns are taken in order: a column linearly dependent on the earlier
     ones never acquires weight (coefficient 0), which makes the answer unique
-    even for a dependent spanning set.  Returns None when target is outside
-    the span.
+    even for a dependent spanning set.  The constructor eliminates [A | I] on
+    the columns of A and keeps, for each pivot, the integer transform row t
+    and pivot entry d with t·A = d·(row of the reduced form); the remaining
+    transform rows annihilate A.  Both facts are checked before the solver is
+    used, so a wrong factorisation raises ValueError instead of answering.
     """
-    cols = [vec(c) for c in columns]
-    b = vec(target)
-    aug = [tuple(col[i] for col in cols) + (b[i],) for i in range(len(b))]
-    reduced, pivots = rref(aug)
-    k = len(cols)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for row, p in zip(reduced, pivots):
-        coeffs[p] = row[k]
-    return coeffs
+
+    def __init__(self, columns: Sequence[Sequence], dim: int):
+        k = len(columns)
+        if any(len(col) != dim for col in columns):
+            raise ValueError(f"every column must have length {dim}")
+        m = [
+            _scaled_ints([col[i] for col in columns] + [int(i == j) for j in range(dim)])[0]
+            for i in range(dim)
+        ]
+        self.dim = dim
+        self._ncols = k
+        self.pivots = _eliminate(m, k)
+        self._pivot_rows = [(row[k:], row[p]) for row, p in zip(m, self.pivots)]
+        self._null_rows = [row[k:] for row in m[len(self.pivots):]]
+        self._check([_scaled_ints(col) for col in columns])
+
+    def _check(self, scaled_columns: list[tuple[list[int], int]]) -> None:
+        for i, (t, d) in enumerate(self._pivot_rows):
+            for j, p in enumerate(self.pivots):
+                col, den = scaled_columns[p]
+                if sum(map(mul, t, col)) != (d * den if i == j else 0):
+                    raise ValueError(
+                        f"transform row {i} does not map pivot column {p} to its unit vector"
+                    )
+        for t in self._null_rows:
+            if any(sum(map(mul, t, col)) for col, _ in scaled_columns):
+                raise ValueError("a left-null transform row does not annihilate the columns")
+
+    def solve(self, target: Sequence) -> list[Fraction] | None:
+        """Coefficients c with sum(c[j] * column j) == target, or None outside the span."""
+        if len(target) != self.dim:
+            raise ValueError(f"target length {len(target)} != {self.dim}")
+        nb, db = _scaled_ints(target)
+        if any(sum(map(mul, t, nb)) for t in self._null_rows):
+            return None
+        coeffs = [Fraction(0)] * self._ncols
+        for (t, d), p in zip(self._pivot_rows, self.pivots):
+            coeffs[p] = Fraction(sum(map(mul, t, nb)), d * db)
+        return coeffs
+
+
+def solve_in_span(columns: Sequence[Sequence], target: Sequence) -> list[Fraction] | None:
+    """Express target as a combination of the given column vectors (see SpanSolver)."""
+    return SpanSolver(columns, len(target)).solve(target)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import _linalg as la
@@ -77,9 +78,12 @@ def parse_profile(text: str, space: BallotSpace) -> Profile:
         fields = line.split("\t") if "\t" in line else line.split()
         if len(fields) != 2:
             raise ValueError(f"profile line {lineno}: expected 2 fields")
-        ballot = space.parse(fields[0])
         try:
-            weights[space.index_of(ballot)] += Fraction(fields[1])
+            index = space.index_of(space.parse(fields[0]))
+        except ValueError as exc:
+            raise ValueError(f"profile line {lineno}: {exc}") from None
+        try:
+            weights[index] += Fraction(fields[1])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"profile line {lineno}: bad rational {fields[1]!r}") from None
     return Profile(space, tuple(weights))
@@ -102,7 +106,7 @@ def tally(m: ScoringMatrix, p: Profile) -> TallyResult:
     """Scores = M p; winners are the full argmax set, ties never broken."""
     if p.space != m.ballot_space:
         raise ValueError(f"profile space {p.space!r} != rule ballot space {m.ballot_space!r}")
-    scores = la.mat_vec(m.entries, p.weights)
+    scores = la.mat_vec(m.scaled, p.weights)
     top = max(scores)
     winners = frozenset(
         m.outcome_space[i] for i, s in enumerate(scores) if s == top
@@ -144,6 +148,11 @@ class SubspaceCatalog:
 
     def all_vectors(self) -> list[la.Vector]:
         return [v for e in self.entries for v in e.vectors]
+
+    @cached_property
+    def solver(self) -> la.SpanSolver:
+        """Coordinates over all_vectors(), factored on first use."""
+        return la.SpanSolver(self.all_vectors(), self.dim)
 
 
 def _entry(label: str, parts: tuple[int, ...], rows: Sequence[Sequence[int]]) -> CatalogEntry:
@@ -249,11 +258,13 @@ _CO5_ENTRIES = (
 )
 
 
+@lru_cache(maxsize=None)
 def subspace_catalog(space_id: str) -> SubspaceCatalog:
     """Fixed invariant-subspace tables: "co4", "rolo4", "trad4", or "co5".
 
     The TRAD enumeration acts index-by-index exactly like the ROLO reference
-    enumeration, so the two share one table.
+    enumeration, so the two share one table.  Each id maps to one instance,
+    so its solver is factored once per process.
     """
     if space_id == "co4":
         return SubspaceCatalog("co4", 4, 6, _CO4_ENTRIES)
@@ -286,8 +297,7 @@ def decompose_profile(p: Profile, catalog: SubspaceCatalog) -> list[DecomposedCo
     """
     if len(p.weights) != catalog.dim:
         raise ValueError(f"profile dim {len(p.weights)} != catalog dim {catalog.dim}")
-    columns = catalog.all_vectors()
-    coeffs = la.solve_in_span(columns, p.weights)
+    coeffs = catalog.solver.solve(p.weights)
     if coeffs is None:
         raise ValueError(f"catalog {catalog.space_id} does not span the profile")
     out = []
@@ -295,10 +305,7 @@ def decompose_profile(p: Profile, catalog: SubspaceCatalog) -> list[DecomposedCo
     for entry in catalog.entries:
         k = len(entry.vectors)
         cs = tuple(coeffs[pos:pos + k])
-        component = la.zeros(catalog.dim)
-        for c, v in zip(cs, entry.vectors):
-            if c:
-                component = la.add(component, la.scale(c, v))
+        component = la.mat_vec(list(zip(*entry.vectors)), cs)
         out.append(DecomposedComponent(entry.label, entry.partition, cs, component))
         pos += k
     return out
@@ -359,11 +366,10 @@ def scaling_report(
     same_space = m.outcome_space == m.ballot_space
     if outcome_catalog is None:
         outcome_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
-    outcome_columns = outcome_catalog.all_vectors()
 
     entries = []
     for entry in catalog.entries:
-        images = tuple(la.mat_vec(m.entries, v) for v in entry.vectors)
+        images = tuple(la.mat_vec(m.scaled, v) for v in entry.vectors)
         scalar = _common_scalar(entry.vectors, images) if same_space else None
         if scalar is not None:
             kind = "zero" if scalar == 0 else "scalar"
@@ -377,11 +383,11 @@ def scaling_report(
         coords = None
         if expand_images:
             coords = tuple(
-                tuple(la.solve_in_span(outcome_columns, img) or ()) for img in images
+                tuple(outcome_catalog.solver.solve(img) or ()) for img in images
             )
         entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
 
-    mmt = la.mat_mul(m.entries, la.transpose(m.entries))
+    mmt = la.ScaledMatrix(la.mat_mul(m.entries, la.transpose(m.entries)))
     quadratic = {}
     for entry in outcome_catalog.entries:
         quadratic[entry.label] = _common_scalar(
@@ -400,7 +406,7 @@ def _common_scalar(vectors, images) -> Fraction | None:
             continue
         pivot = next(i for i, x in enumerate(v) if x != 0)
         cand = img[pivot] / v[pivot]
-        if la.scale(cand, v) != tuple(img):
+        if any(x != cand * a for x, a in zip(img, v, strict=True)):
             return None
         if k is None:
             k = cand
@@ -456,20 +462,16 @@ def masking_profile(
         if order.n != n:
             raise ValueError(f"{order} has n={order.n}, but the rule's outcomes have n={n}")
     space = m.ballot_space
-    n_out = len(m.outcome_space)
 
-    y = [Fraction(0)] * n_out
-    y[m.outcome_space.index_of(target)] = Fraction(1)
-    y[m.outcome_space.index_of(reverse_order(target))] = Fraction(-1)
-    base = la.scale(magnitude, la.mat_vec(la.transpose(m.entries), y))
+    # M^T (e_target - e_reversal)
+    base = la.scale(magnitude, la.sub(m.row(target), m.row(reverse_order(target))))
 
     favorites = [favorite_order(b, space.n) for b in space.ballots]
     decoy_flag = la.vec(1 if fav in decoys else 0 for fav in favorites)
     target_flag = la.vec(1 if fav == target else 0 for fav in favorites)
-    rows = la.row_space_basis(m.entries)
-    boost = la.sub(decoy_flag, _project_onto_span(rows, decoy_flag))
+    boost = la.sub(decoy_flag, la.project_onto_span(m.entries, decoy_flag))
     if la.is_zero(boost):
-        drain = la.sub(target_flag, _project_onto_span(rows, target_flag))
+        drain = la.sub(target_flag, la.project_onto_span(m.entries, target_flag))
         boost = la.scale(-1, drain)
     if la.is_zero(boost):
         raise MaskingInfeasibleError(
@@ -499,23 +501,3 @@ def masking_profile(
             f"recipe failed to elect {target} uniquely under {m.rule_name}"
         )
     return result
-
-
-def _project_onto_span(basis: Sequence[la.Vector], v: la.Vector) -> la.Vector:
-    """Orthogonal projection of v onto span(basis), by the exact normal equations."""
-    if not basis:
-        return la.zeros(len(v))
-    gram = [[la.dot(a, b) for b in basis] for a in basis]
-    rhs = [la.dot(a, v) for a in basis]
-    aug = [la.vec(row) + (r,) for row, r in zip(gram, rhs)]
-    reduced, pivots = la.rref(aug)
-    coeffs = [Fraction(0)] * len(basis)
-    for row, p in zip(reduced, pivots):
-        if p == len(basis):
-            raise AssertionError("normal equations inconsistent")  # Gram systems never are
-        coeffs[p] = row[len(basis)]
-    out = la.zeros(len(v))
-    for c, b in zip(coeffs, basis):
-        if c:
-            out = la.add(out, la.scale(c, b))
-    return out

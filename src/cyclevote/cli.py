@@ -238,7 +238,10 @@ def _cmd_mask(args) -> None:
     m = _rule(args)
     target = cyclic_orders.parse_order(args.target)
     decoys = {cyclic_orders.parse_order(t) for t in args.decoys.split(",") if t.strip()}
-    magnitude = Fraction(args.magnitude)
+    try:
+        magnitude = Fraction(args.magnitude)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad magnitude: {args.magnitude!r}") from None
     p = analysis.masking_profile(m, target, decoys, magnitude)
     print(analysis.format_profile(p))
 
@@ -267,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _report("usage error", exc)
         return 1
+    except SystemExit as exc:  # -h/--help has printed the help text
+        return exc.code
     try:
         _COMMANDS[args.command](args)
     except (ValueError, OSError, ZeroDivisionError) as exc:

@@ -19,9 +19,10 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
+from . import _linalg as la
 from .ballots import Ballot, BallotSpace, action_space, build_ballot_space, outcome_space
 from .cyclic_orders import (
     CyclicOrder,
@@ -44,6 +45,11 @@ class ScoringMatrix:
     outcome_space: BallotSpace
     ballot_space: BallotSpace
     entries: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def scaled(self) -> la.ScaledMatrix:
+        """The entries with denominators cleared once, for repeated products."""
+        return la.ScaledMatrix(self.entries)
 
     def score(self, ballot: Ballot, outcome: CyclicOrder) -> Fraction:
         return self.entries[self.outcome_space.index_of(outcome)][self.ballot_space.index_of(ballot)]
@@ -293,8 +299,11 @@ def parse_seed_file(text: str, ballot_space: BallotSpace) -> list[tuple[Ballot, 
         fields = line.split()
         if len(fields) != 3:
             raise ValueError(f"seed line {lineno}: expected 3 fields, got {len(fields)}")
-        ballot = ballot_space.parse(fields[0])
-        order = parse_order(fields[1])
+        try:
+            ballot = ballot_space.parse(fields[0])
+            order = parse_order(fields[1])
+        except ValueError as exc:
+            raise ValueError(f"seed line {lineno}: {exc}") from None
         if order.n != ballot_space.n:
             raise ValueError(
                 f"seed line {lineno}: order {order} has n={order.n}, "

@@ -1,4 +1,5 @@
 import io
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
@@ -182,6 +183,52 @@ def test_seed_order_of_another_degree(tmp_path, capsys):
     assert err == "error: seed line 2: order (ABC) has n=3, ballots have n=4\n"
 
 
+def test_seed_errors_name_the_line(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    for kind, text, message in (
+        ("rolo", "A|D,C (ACBD) 2\nA|D,X (ACBD) 1\n",
+         "seed line 2: A|D,X is not a ballot of BallotSpace('rolo', n=4"),
+        ("cyclic", "ABCD ABCE 1\n", "seed line 1: bad cyclic-order literal: 'ABCE'"),
+        ("rolo", "\n# c\nA|D (ACBD) 1\n", "seed line 3: bad ROLO ballot literal: 'A|D'"),
+    ):
+        seeds.write_text(text)
+        code, out, err = run(
+            capsys, "matrix", "--rule", "orbit_seeds", "--seeds", str(seeds),
+            "--ballots", kind, "--n", "4",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+def test_profile_errors_name_the_line(tmp_path, capsys):
+    pfile = tmp_path / "p.tsv"
+    for text, message in (
+        ("# votes\n(ACBD)\t2\n(ABCE)\t2\n", "profile line 3: bad cyclic-order literal: '(ABCE)'"),
+        ("(ABCDE)\t1\n", "profile line 1: (ABCDE) is not a ballot of BallotSpace('cyclic', n=4"),
+        ("(ACBD)\t1/0\n", "profile line 1: bad rational '1/0'"),
+    ):
+        pfile.write_text(text)
+        code, out, err = run(
+            capsys, "tally", "--rule", "generic4", "--params", "2,1,0", "--profile", str(pfile)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+def test_mask_bad_magnitude(capsys):
+    for magnitude in ("1/0", "x"):
+        code, out, err = run(capsys, "mask", "--rule", "rolo21", "--target", "(ACBD)",
+                             "--decoys", "(ABCD)", "--magnitude", magnitude)
+        assert code == 2 and out == ""
+        assert err == f"error: bad magnitude: {magnitude!r}\n"
+
+
+def test_help_returns_zero(capsys):
+    for argv in (["-h"], ["distance", "-h"], ["tally", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: cyclevote") and err == ""
+
+
 _ORDER_LITERALS = (
     "(ABCDE)", "ACBD", "(0,2,1,3)", "0 1 2", "A", "AB", "(BCA)", "(ABCDEFGH)",
     "", "(", "()", "(AXBD)", "(AAB)", "(BCD)", "1,x", "-1", "A\nB",
@@ -209,7 +256,7 @@ def _argv(draw):
     for flag in _COMMAND_FLAGS[command]:
         if draw(st.integers(0, 5)):
             argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
-    stray = [[], [], [], [], ["extra"], ["--n"], ["--space", "co"], ["--x", "A\nB"]]
+    stray = [[], [], [], [], ["extra"], ["--n"], ["--space", "co"], ["--x", "A\nB"], ["-h"]]
     return argv + draw(st.sampled_from(stray))
 
 
@@ -218,6 +265,73 @@ def _argv(draw):
 def test_cli_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert (code == 0) == (err.getvalue() == "")
+
+
+# Lines for malformed profile and seed files: good lines, wrong field counts,
+# bad literals, orders and ballots of the wrong n, bad rationals, blanks.
+_PROFILE_LINES = (
+    "(ACBD)\t2", "(ADBC) 1/2", "(0,2,1,3)\t-1", "A|D,C\t3", "AB-DA\t1", "(ABCDE)\t1",
+    "(ABCE)\t2", "(AXBD)\t1", "(ACBD)", "(ACBD)\t1\t2", "(ACBD)\tx", "(ACBD)\t1/0",
+    "(ACBD)\t1e400", "# comment", "", "\t", "A|D,X\t1", "(ACB)\t1",
+)
+_SEED_LINES = (
+    "A|D,C (ACBD) 2", "A|D,C (ACDB) 1", "(ACBD) (ACBD) 1", "ABCDE ABCED 1", "AB-DA ABCD 1",
+    "A|D,X (ACBD) 1", "ABCD ABCE 1", "A|D,C (ACB) 1", "A|D,C (ACBD)", "A|D,C (ACBD) 1 2",
+    "A|D,C (ACBD) 1/0", "A|D,C (ACBD) x", "A|D,C (ACBD) 3", "# c", "",
+)
+_RULES = (
+    ["--rule", "generic4", "--params", "2,1,0"],
+    ["--rule", "rolo21"],
+    ["--rule", "generic5", "--params", "4,0,3,1,2,2,1,1"],
+    ["--rule", "generic4", "--params", "1/0,1,1"],
+    ["--rule", "orbit_seeds", "--ballots", "rolo", "--n", "4", "--seeds", "{seeds}"],
+    ["--rule", "orbit_seeds", "--ballots", "cyclic", "--n", "5", "--seeds", "{seeds}"],
+    ["--rule", "orbit_seeds", "--ballots", "trad", "--n", "4", "--seeds", "{seeds}"],
+    ["--rule", "orbit_seeds", "--ballots", "cyclic", "--seeds", "{seeds}"],
+    ["--rule", "orbit_seeds", "--ballots", "rolo", "--n", "9", "--seeds", "{seeds}"],
+    ["--rule", "orbit_seeds", "--n", "4", "--seeds", "{seeds}"],
+    ["--rule", "orbit_seeds", "--ballots", "rolo", "--seeds", "{missing}"],
+)
+
+
+@st.composite
+def _file_argv(draw):
+    command = draw(st.sampled_from(["tally", "project", "matrix", "mask"]))
+    if command == "project":
+        argv = ["project", "--space", draw(st.sampled_from(["cyclic", "rolo", "trad"])),
+                "--n", draw(st.sampled_from(["3", "4", "5", "x"])),
+                "--partition", draw(st.sampled_from(["4", "2+2", "3+1", "5", "2+1", "x", "0"])),
+                "--profile", draw(st.sampled_from(["{profile}", "{profile}", "{missing}"]))]
+    else:
+        argv = [command] + draw(st.sampled_from(_RULES))
+    if command == "tally":
+        argv += ["--profile", draw(st.sampled_from(["{profile}", "{profile}", "{missing}"]))]
+    if command == "mask":
+        argv += ["--target", draw(st.sampled_from(_ORDER_LITERALS[:4] + ("(ACBD)", "(ABCD)"))),
+                 "--decoys", draw(st.sampled_from(["(ABCD),(ADCB)", "(ACDB)", "", "(ACBD)",
+                                                   "(ABCDE)", "x,(ABCD)"])),
+                 "--magnitude", draw(st.sampled_from(["1", "3/2", "0", "-1", "x", "1/0"]))]
+    profile = draw(st.lists(st.sampled_from(_PROFILE_LINES), max_size=5))
+    seeds = draw(st.lists(st.sampled_from(_SEED_LINES), max_size=5))
+    return argv, "\n".join(profile), "\n".join(seeds)
+
+
+@given(_file_argv())
+@settings(max_examples=80, deadline=None)
+def test_cli_file_fuzz_exits_cleanly(tmp_path_factory, case):
+    argv, profile_text, seed_text = case
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "p.tsv").write_text(profile_text)
+    (workdir / "s.txt").write_text(seed_text)
+    paths = {"profile": workdir / "p.tsv", "seeds": workdir / "s.txt", "missing": workdir / "x"}
+    argv = [a.format(**paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate seeds only warn
         code = main(argv)
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1

@@ -1,14 +1,248 @@
+import random
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclevote._linalg as la
+from cyclevote.analysis import subspace_catalog
 
 small_matrix = st.lists(
     st.lists(st.integers(-4, 4), min_size=4, max_size=4),
     min_size=2,
     max_size=5,
 )
+
+
+# -- oracles: the two row reductions the integer Gauss-Jordan kernel replaced --
+
+def _fraction_rref(rows):
+    """Reduced row echelon form by Fraction row operations."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                k = m[i][c]
+                m[i] = [a - k * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def _bareiss(rows):
+    """Fraction-free (Bareiss) echelon form: nonzero rows and pivot columns."""
+    m = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        mult = 1
+        for x in fr:
+            mult = mult * x.denominator // gcd(mult, x.denominator)
+        m.append([int(x * mult) for x in fr])
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        for i in range(r + 1, len(m)):
+            for j in range(ncols):
+                if j == c:
+                    continue
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _bareiss_nullspace(rows):
+    """Canonical null-space basis by back-substitution on the Bareiss form."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    ech, pivots = _bareiss(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for i in reversed(range(len(pivots))):
+            p = pivots[i]
+            s = sum((Fraction(ech[i][j]) * x[j] for j in range(p + 1, ncols)), Fraction(0))
+            x[p] = -s / ech[i][p]
+        basis.append(tuple(x))
+    return basis
+
+
+def _oracle_solve(columns, target):
+    """One Fraction RREF of [A | b] per call; earlier columns win, None outside the span."""
+    aug = [tuple(Fraction(col[i]) for col in columns) + (Fraction(target[i]),)
+           for i in range(len(target))]
+    reduced, pivots = _fraction_rref(aug)
+    k = len(columns)
+    if k in pivots:
+        return None
+    coeffs = [Fraction(0)] * k
+    for row, p in zip(reduced, pivots):
+        coeffs[p] = row[k]
+    return coeffs
+
+
+_entry = st.one_of(
+    st.just(0), st.integers(-5, 5), st.fractions(-4, 4, max_denominator=6)
+)
+
+
+@st.composite
+def rational_matrix(draw):
+    """Wide, tall and empty shapes; zero rows and all-zero matrices included."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    if draw(st.integers(0, 9)) == 0:
+        return [[0] * ncols for _ in range(nrows)]
+    rows = []
+    for _ in range(nrows):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append([0] * ncols)
+        else:
+            rows.append(draw(st.lists(_entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@given(rational_matrix())
+@settings(max_examples=200)
+def test_rref_matches_fraction_oracle(rows):
+    assert la.rref(rows) == _fraction_rref(rows)
+    assert la.row_space_basis(rows) == _fraction_rref(rows)[0]
+
+
+@given(rational_matrix())
+@settings(max_examples=200)
+def test_rank_and_nullspace_match_bareiss_oracle(rows):
+    assert la.rank(rows) == len(_bareiss(rows)[1])
+    assert la.nullspace(rows) == _bareiss_nullspace(rows)
+
+
+@given(rational_matrix(), st.lists(_entry, min_size=7, max_size=7), st.integers(0, 2))
+@settings(max_examples=150)
+def test_span_solver_matches_oracle_solve(rows, coeffs, mode):
+    # the rows of the drawn matrix serve as columns; targets inside the span
+    # (a combination) and arbitrary targets, which often fall outside it
+    if not rows:
+        return
+    dim = len(rows[0])
+    if mode == 0:
+        target = list(coeffs[:dim])
+    else:
+        target = la.zeros(dim)
+        for c, col in zip(coeffs, rows):
+            target = la.add(target, la.scale(c, col))
+    solver = la.SpanSolver(rows, dim)
+    assert solver.solve(target) == _oracle_solve(rows, target)
+    assert la.solve_in_span(rows, target) == _oracle_solve(rows, target)
+
+
+@given(rational_matrix(), st.lists(_entry, min_size=7, max_size=7))
+def test_project_onto_span_is_orthogonal(rows, entries):
+    if not rows:
+        return
+    v = entries[:len(rows[0])]
+    proj = la.project_onto_span(rows, v)
+    assert la.solve_in_span(rows, proj) is not None
+    residual = la.sub(v, proj)
+    assert all(la.dot(residual, row) == 0 for row in rows)
+
+
+def _catalog_columns(label):
+    """Columns of a whole catalog, or of a sub-list that leaves targets outside."""
+    space_id, _, part = label.partition("-")
+    catalog = subspace_catalog(space_id)
+    if part == "without-T":
+        return catalog.all_vectors()[1:]
+    if part:
+        return [v for name in part.split("+") for v in catalog.entry(name).vectors]
+    return catalog.all_vectors()
+
+
+@pytest.mark.parametrize("label", [
+    "co4", "rolo4", "co5", "co4-without-T", "rolo4-without-T", "co5-without-T",
+    "co4-nonadj", "co4-nonadj+rev",
+])
+def test_catalog_solver_matches_oracle(label):
+    columns = _catalog_columns(label)
+    rng = random.Random(f"catalog-solver-{label}")
+    dim = len(columns[0])
+    solver = la.SpanSolver(columns, dim)
+    outside = 0
+    for trial in range(12):
+        if trial % 2:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in columns]
+            target = la.zeros(dim)
+            for c, col in zip(coeffs, columns):
+                target = la.add(target, la.scale(c, col))
+        else:
+            target = la.vec(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
+        got = solver.solve(target)
+        assert got == _oracle_solve(columns, target)
+        outside += got is None
+    # full catalogs span their space; the sub-lists do not
+    assert (outside == 0) == (label in ("co4", "rolo4", "co5"))
+
+
+def test_catalog_solver_is_built_once():
+    catalog = subspace_catalog("co5")
+    assert subspace_catalog("co5") is catalog
+    assert catalog.solver is catalog.solver
+    assert catalog.solver.pivots == list(range(24))
+    # the dependent nonadj triple of co4: the third vector never gets weight
+    co4 = subspace_catalog("co4")
+    assert co4.solver.pivots == [0, 1, 2, 4, 5, 6]
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["pivot-row", "null-row"])
+def test_corrupted_factorisation_raises(monkeypatch, row):
+    real = la._eliminate
+    columns = subspace_catalog("co4").entry("rev").vectors  # rank 3 in 6 dimensions
+
+    def corrupted(m, pivot_cols):
+        pivots = real(m, pivot_cols)
+        m[row][pivot_cols] += 1  # first transform entry: rev vector 1 reads 1 there
+        return pivots
+
+    la.SpanSolver(columns, 6)
+    monkeypatch.setattr(la, "_eliminate", corrupted)
+    with pytest.raises(ValueError):
+        la.SpanSolver(columns, 6)
+
+
+def test_empty_and_mismatched_inputs():
+    assert la.rank([]) == 0 and la.nullspace([]) == [] and la.rref([]) == ([], [])
+    assert la.solve_in_span([], (0, 0)) == []
+    assert la.solve_in_span([], (0, 1)) is None
+    with pytest.raises(ValueError):
+        la.SpanSolver([(1, 0), (0, 1, 0)], 2)
+    with pytest.raises(ValueError):
+        la.SpanSolver([(1, 0)], 2).solve((1, 0, 0))
 
 
 def test_rank_and_nullspace_basics():
