@@ -7,7 +7,8 @@ and every combined row is divided by the gcd of its entries, which keeps the
 integers small.  The pass leaves each pivot row zero in every other pivot
 column, so dividing a pivot row by its pivot entry gives the reduced row
 echelon form.  That form is unique, so `rank`, `rref` and the canonical
-`nullspace` basis all read off the same integer rows.  `SpanSolver` runs the
+`nullspace` basis all read off the same integer rows, which an `Echelon` keeps
+for a matrix that is read more than once.  `SpanSolver` runs the
 pass once on [A | I] and keeps the integer transform, so every later solve
 against the same columns is one integer mat-vec.  Everything here is exact;
 no floats ever appear.
@@ -134,55 +135,72 @@ def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
     return pivots
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """The pivot rows of the integer Gauss–Jordan form, and the pivot columns."""
-    m = [_scaled_ints(row)[0] for row in rows]
-    pivots = _eliminate(m, len(m[0]) if m else 0)
-    return m[:len(pivots)], pivots
+class Echelon:
+    """The pivot rows of a matrix's integer Gauss–Jordan form, and its pivot columns.
+
+    rank, nullspace, rref, row_space_basis and project_onto_span accept one in
+    place of the matrix, so a matrix that several of them read is eliminated
+    only once.  The pivot-row property of _eliminate is checked on
+    construction: pivot row i is nonzero in pivot column i and zero in every
+    other pivot column.
+    """
+
+    __slots__ = ("rows", "pivots", "ncols")
+
+    def __init__(self, m: Sequence[Sequence]):
+        rows = [_scaled_ints(row)[0] for row in m]
+        self.ncols = len(rows[0]) if rows else 0
+        self.pivots = _eliminate(rows, self.ncols)
+        self.rows = rows[:len(self.pivots)]
+        for i, row in enumerate(self.rows):
+            if any((row[p] != 0) != (i == j) for j, p in enumerate(self.pivots)):
+                raise ArithmeticError(f"elimination left pivot row {i} uncleared")
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(_echelon(rows)[1])
+def _echelon(m: Sequence[Sequence] | Echelon) -> Echelon:
+    return m if isinstance(m, Echelon) else Echelon(m)
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
+def rank(rows: Sequence[Sequence] | Echelon) -> int:
+    return len(_echelon(rows).pivots)
+
+
+def nullspace(rows: Sequence[Sequence] | Echelon) -> list[Vector]:
     """Basis of {x : rows @ x = 0}, one vector per free column.
 
     The basis is canonical: vector k has entry 1 at the k-th free column and
     zeros at the other free columns.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech, pivots = _echelon(rows)
-    taken = set(pivots)
+    ech = _echelon(rows)
+    taken = set(ech.pivots)
     zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in range(ncols):
+    for f in range(ech.ncols):
         if f in taken:
             continue
-        x = [zero] * ncols
+        x = [zero] * ech.ncols
         x[f] = one
-        for row, p in zip(ech, pivots):
+        for row, p in zip(ech.rows, ech.pivots):
             if row[f]:
                 x[p] = Fraction(-row[f], row[p])
         basis.append(tuple(x))
     return basis
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
+def rref(rows: Sequence[Sequence] | Echelon) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot cols)."""
-    ech, pivots = _echelon(rows)
-    return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(ech, pivots)], pivots
+    ech = _echelon(rows)
+    return ([tuple(Fraction(x, row[p]) for x in row) for row, p in zip(ech.rows, ech.pivots)],
+            list(ech.pivots))
 
 
-def row_space_basis(rows: Sequence[Sequence]) -> list[Vector]:
+def row_space_basis(rows: Sequence[Sequence] | Echelon) -> list[Vector]:
     return rref(rows)[0]
 
 
-def project_onto_span(rows: Sequence[Sequence], v: Sequence) -> Vector:
+def project_onto_span(rows: Sequence[Sequence] | Echelon, v: Sequence) -> Vector:
     """Orthogonal projection of v onto the span of rows, by the exact normal equations."""
-    basis, _ = _echelon(rows)
+    basis = _echelon(rows).rows
     if not basis:
         return zeros(len(v))
     nv, dv = _scaled_ints(v)

@@ -116,12 +116,12 @@ def tally(m: ScoringMatrix, p: Profile) -> TallyResult:
 
 def kernel_basis(m: ScoringMatrix) -> list[la.Vector]:
     """Exact basis of the profiles M sends to the all-zero score vector."""
-    return la.nullspace(m.entries)
+    return la.nullspace(m.echelon)
 
 
 def effective_basis(m: ScoringMatrix) -> list[la.Vector]:
     """Basis of the orthogonal complement of the kernel (the row space of M)."""
-    return la.row_space_basis(m.entries)
+    return la.row_space_basis(m.echelon)
 
 
 # -- invariant-subspace catalogs ---------------------------------------------
@@ -469,9 +469,9 @@ def masking_profile(
     favorites = [favorite_order(b, space.n) for b in space.ballots]
     decoy_flag = la.vec(1 if fav in decoys else 0 for fav in favorites)
     target_flag = la.vec(1 if fav == target else 0 for fav in favorites)
-    boost = la.sub(decoy_flag, la.project_onto_span(m.entries, decoy_flag))
+    boost = la.sub(decoy_flag, la.project_onto_span(m.echelon, decoy_flag))
     if la.is_zero(boost):
-        drain = la.sub(target_flag, la.project_onto_span(m.entries, target_flag))
+        drain = la.sub(target_flag, la.project_onto_span(m.echelon, target_flag))
         boost = la.scale(-1, drain)
     if la.is_zero(boost):
         raise MaskingInfeasibleError(

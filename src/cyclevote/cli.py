@@ -3,12 +3,15 @@
 Every subcommand reads text files and writes deterministic, diff-able text:
 no timestamps, no floats, rationals printed as p/q (q omitted when 1).
 Exit codes: 0 success, 1 usage error, 2 data error (parse failure, space
-mismatch, seed conflict, unsupported combination).
+mismatch, seed conflict, unsupported combination).  Errors and library
+warnings (a duplicate seed) print one stderr line each; a failing command
+prints its error alone.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 
 from . import analysis, ballots, cyclic_orders, representation, scoring
@@ -273,15 +276,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # -h/--help has printed the help text
         return exc.code
     try:
-        _COMMANDS[args.command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            _COMMANDS[args.command](args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         _report("error", exc)
         return 2
+    for warning in caught:  # the filters in force decide which are recorded
+        _report("warning", warning.message)
     return 0
 
 
 def _report(kind: str, exc: Exception) -> None:
-    """One stderr line per failure, even when the message quotes a raw argument."""
+    """One stderr line per failure or warning, even when the message quotes a raw argument."""
     message = str(exc).replace("\n", "\\n")
     print(f"{kind}: {message}", file=sys.stderr)
 

@@ -7,12 +7,16 @@ irreducible character weights gives the exact rational projector onto each
 isotypic component.
 
 The action is read from ``act`` once per generator and once per class
-representative.  The averaging sums run over a group table: the index
-permutation of every element of S_n, built on first use by breadth-first
-search from the generator moves, checked against ``act``, grouped by cycle
-type and kept on the space as one compact integer array.  The sums themselves
-are plain integer arithmetic.  The table has n! rows, so the averaging is
-capped at small degrees (GROUP_SUM_LIMIT).
+representative.  A group table holds the index permutation of every element
+of S_n: it is built on first use by breadth-first search from the generator
+moves, checked against ``act``, grouped by cycle type and kept on the space
+as one compact integer array.  The projector P commutes with the action, so
+P[rho(g)[i]][rho(g)[j]] = P[i][j]: it is fixed by one row per orbit.  Each
+base row is one integer count over one column of the table, and every other
+row is a base row permuted by a table row (a transversal, also cached on the
+space).  A projection is therefore dim**2 integer products, not an n!-term
+sum.  The table has n! rows, so projections are capped at small degrees
+(GROUP_SUM_LIMIT).
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from . import _linalg as la
@@ -47,6 +51,10 @@ GROUP_SUM_LIMIT = 7
 
 #: (cycle type, start, stop): the slice of the flat table that one class fills.
 ClassSlice = tuple[Partition, int, int]
+
+#: (bases, offsets): for each index i, the least index b of i's orbit and the
+#: table offset of the row of some sigma with rho(sigma)[b] == i.
+Transversal = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,16 @@ class ActionSpace:
     def group_table(self) -> tuple[array, tuple[ClassSlice, ...]]:
         """The index permutation of every element of S_n; see _group_table."""
         return _group_table(self)
+
+    @cached_property
+    def transversal(self) -> Transversal:
+        """One table row per index carrying its orbit's base to it; see _transversal."""
+        return _transversal(self)
+
+    @cached_property
+    def base_rows(self) -> dict[Partition, dict[int, list[int]]]:
+        """Per partition, the integer projector row of each orbit base (filled by _base_rows)."""
+        return {}
 
 
 def _group_table(space: ActionSpace) -> tuple[array, tuple[ClassSlice, ...]]:
@@ -147,6 +165,42 @@ def _group_table(space: ActionSpace) -> tuple[array, tuple[ClassSlice, ...]]:
                 f"action {space.name!r}: the group table disagrees with act on class {mu}"
             )
     return table, tuple(slices)
+
+
+def _transversal(space: ActionSpace) -> Transversal:
+    """A transversal of every orbit of the action, read off the group table.
+
+    The orbits are taken in index order, each based at its least index b.
+    Column b of the table lists rho(sigma)[b] over all sigma, so one pass over
+    it maps each index of b's orbit to the offset of a row that carries b
+    there.  The result is checked by _check_transversal.
+    """
+    table, dim = space.group_table[0], space.dim
+    base = [-1] * dim
+    offset = [0] * dim
+    for b in range(dim):
+        if base[b] >= 0:
+            continue
+        for i, row in dict(zip(table[b::dim], range(0, len(table), dim))).items():
+            base[i], offset[i] = b, row
+    transversal = (tuple(base), tuple(offset))
+    _check_transversal(space, transversal)
+    return transversal
+
+
+def _check_transversal(space: ActionSpace, transversal: Transversal) -> None:
+    """Raise ValueError unless the row of each index i sends i's base to i."""
+    table, dim = space.group_table[0], space.dim
+    bases, offsets = transversal
+    if len(bases) != dim or len(offsets) != dim:
+        raise ValueError(f"action {space.name!r}: a transversal needs {dim} bases and rows")
+    for i, (b, row) in enumerate(zip(bases, offsets)):
+        if not (0 <= b < dim and row % dim == 0 and 0 <= row < len(table)
+                and table[row + b] == i):
+            raise ValueError(
+                f"action {space.name!r}: the transversal row for index {i} "
+                f"does not send its base {b} to it"
+            )
 
 
 def _check_degree(n: int, limit: int | None = None) -> None:
@@ -228,57 +282,71 @@ def permutation_matrix(space: ActionSpace, sigma: Permutation) -> la.Matrix:
     )
 
 
-def _weighted_classes(space: ActionSpace, lam: Partition,
-                      limit: int | None) -> list[tuple[int, int, int]]:
-    """(chi_lam(mu), start, stop) for each class mu of the group table with chi_lam(mu) != 0."""
+def _base_rows(space: ActionSpace, lam: Partition, limit: int | None) -> dict[int, list[int]]:
+    """n!/dim lam times the projector row of each orbit base b, in integers.
+
+    Row b of the sum over sigma of chi_lam(sigma) * rho(sigma) has at column
+    k the sum of chi_lam over the sigma with rho(sigma)[b] == k (chi(sigma) =
+    chi(sigma^-1)): one count per class over column b of the table.  The rows
+    are cached on the space per partition, O(orbits * dim) integers each.
+    """
     if lam.n != space.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
     _check_degree(space.n, limit)
-    weighted = ((irreducible_character(lam, mu), start, stop)
-                for mu, start, stop in space.group_table[1])
-    return [w for w in weighted if w[0]]
+    rows = space.base_rows.get(lam)
+    if rows is None:
+        (table, slices), dim = space.group_table, space.dim
+        weighted = [(irreducible_character(lam, mu), start, stop) for mu, start, stop in slices]
+        rows = {}
+        for b in sorted(set(space.transversal[0])):
+            row = rows[b] = [0] * dim
+            for weight, start, stop in weighted:
+                if weight:
+                    for k, count in Counter(table[start + b:stop:dim]).items():
+                        row[k] += weight * count
+        space.base_rows[lam] = rows
+    return rows
 
 
 def isotypic_projector(space: ActionSpace, lam: Partition, limit: int | None = None) -> la.Matrix:
     """Exact projector onto the lam-isotypic component, by group averaging.
 
-    P = (dim lam / n!) * sum over sigma of chi_lam(sigma) * rho(sigma).  As
-    chi(sigma) = chi(sigma^-1), row i of the sum counts, per class, how often
-    rho(sigma)[i] hits each index: one integer pass over column i of the table.
+    P = (dim lam / n!) * sum over sigma of chi_lam(sigma) * rho(sigma).  P
+    commutes with the action, so with g the transversal element carrying the
+    base b of i's orbit to i, P[i][rho(g)[k]] = P[b][k]: row i is the base
+    row permuted by rho(g).
     """
-    weighted = _weighted_classes(space, lam, limit)
+    rows = _base_rows(space, lam, limit)
     table, dim = space.group_table[0], space.dim
-    acc = []
-    for i in range(dim):
-        row = [0] * dim
-        for weight, start, stop in weighted:
-            for j, count in Counter(table[start + i:stop:dim]).items():
-                row[j] += weight * count
-        acc.append(row)
     factor = Fraction(specht_dimension(lam), factorial(space.n))
-    return tuple(tuple(factor * x for x in row) for row in acc)
+    out = []
+    for b, offset in zip(*space.transversal):
+        row = [0] * dim
+        for j, x in zip(table[offset:offset + dim], rows[b]):
+            row[j] = x
+        out.append(tuple(factor * x for x in row))
+    return tuple(out)
 
 
 def project_vector(v: Sequence, space: ActionSpace, lam: Partition,
                    limit: int | None = None) -> la.Vector:
     """Component of v in the lam-isotypic part; components over all lam sum to v.
 
-    With w = D*v in integers (D the lcm of v's denominators), entry i is
-    (dim lam / (n! * D)) * sum over classes mu of chi_lam(mu) * sum over
-    sigma in mu of w[rho(sigma)[i]].  This is P v, exact, because
-    chi(sigma) = chi(sigma^-1); the dense P is never built.
+    With w = D*v in integers (D the lcm of v's denominators) and g, b as in
+    isotypic_projector, entry i is (dim lam / (n! * D)) * sum over k of
+    base_row[k] * w[rho(g)[k]]: P v exactly, in dim**2 integer products.
+    The dense P is never built.
     """
     if len(v) != space.dim:
         raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
-    weighted = _weighted_classes(space, lam, limit)
+    rows = _base_rows(space, lam, limit)
     table, dim = space.group_table[0], space.dim
     nums, den = la._scaled_ints(v)
     pick = nums.__getitem__
-    factor = Fraction(specht_dimension(lam), factorial(space.n) * den)
+    scale, den = specht_dimension(lam), factorial(space.n) * den
     return tuple(
-        factor * sum(weight * sum(map(pick, table[start + i:stop:dim]))
-                     for weight, start, stop in weighted)
-        for i in range(dim)
+        Fraction(scale * sum(map(mul, rows[b], map(pick, table[offset:offset + dim]))), den)
+        for b, offset in zip(*space.transversal)
     )
 
 

@@ -51,6 +51,11 @@ class ScoringMatrix:
         """The entries with denominators cleared once, for repeated products."""
         return la.ScaledMatrix(self.entries)
 
+    @cached_property
+    def echelon(self) -> la.Echelon:
+        """The entries eliminated once, for the kernel, effective space and masking."""
+        return la.Echelon(self.entries)
+
     def score(self, ballot: Ballot, outcome: CyclicOrder) -> Fraction:
         return self.entries[self.outcome_space.index_of(outcome)][self.ballot_space.index_of(ballot)]
 

@@ -26,6 +26,7 @@ from cyclevote.ballots import build_ballot_space, favorite_order
 from cyclevote.cyclic_orders import parse_order
 from cyclevote.scoring import rule
 from cyclevote.symmetric_group import parse_permutation
+from test_linalg import _bareiss_nullspace, _fraction_rref
 from _goldens import (
     PARADOX_PROFILE,
     PARADOX_SCORES,
@@ -116,6 +117,36 @@ def test_kernel_basis_properties():
     assert len(basis) == 18
     for v in basis:
         assert la.mat_vec(m.entries, v) == la.zeros(6)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("generic4", (2, 1, 0)), ("rolo21", ()), ("trad21", ()), ("rolo_x1", (3,)),
+    ("generic5", (4, 0, 3, 1, 2, 2, 1, 1)), ("distance5", (4, 3, 2, 1, 0)),
+    ("adjusted_distance5", ()),
+])
+def test_rule_matrix_is_eliminated_once(monkeypatch, family, params):
+    real = la._eliminate
+    eliminated = []
+
+    def recording(m, pivot_cols):
+        eliminated.append([list(row) for row in m])
+        return real(m, pivot_cols)
+
+    monkeypatch.setattr(la, "_eliminate", recording)
+    m = rule(family, *params)
+    target, decoy = ("(ACBD)", "(ABCD)") if m.outcome_space.n == 4 else ("(ABCDE)", "(ABCED)")
+    kernel, effective = kernel_basis(m), effective_basis(m)
+    if kernel:
+        try:
+            masking_profile(m, parse_order(target), {parse_order(decoy)})
+        except MaskingInfeasibleError:
+            pass
+    rule_rows = [la._scaled_ints(row)[0] for row in m.entries]
+    assert eliminated.count(rule_rows) == 1
+    if not kernel:  # no masking, so no normal equations either
+        assert len(eliminated) == 1
+    assert kernel == _bareiss_nullspace(m.entries)
+    assert effective == _fraction_rref(m.entries)[0]
 
 
 def test_kernel_contains_v_span_for_flat_rule():

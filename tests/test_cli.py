@@ -1,6 +1,10 @@
 import io
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +126,20 @@ def test_seeded_matrix(tmp_path, capsys):
     assert code == 0
     ref_code, ref_out, _ = run(capsys, "matrix", "--rule", "rolo21")
     assert out == ref_out
+
+
+def test_duplicate_seed_warns_in_one_line(tmp_path):
+    # in a fresh interpreter, where no test harness captures the warning
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("A|D,C (ACBD) 2\nA|D,C (ACDB) 1\nA|D,C (ACBD) 2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "cyclevote.cli", "matrix", "--rule", "orbit_seeds",
+            "--seeds", str(seeds), "--ballots", "rolo", "--n", "4"]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == ["warning: duplicate seed for one orbit: (A|D,C, (ACBD))"]
+    assert len(result.stdout.splitlines()) == 7  # header and the six outcomes
 
 
 def test_usage_error_exit_1(capsys):

@@ -173,6 +173,31 @@ def test_project_onto_span_is_orthogonal(rows, entries):
     assert all(la.dot(residual, row) == 0 for row in rows)
 
 
+@given(rational_matrix(), st.lists(_entry, min_size=7, max_size=7))
+@settings(max_examples=150)
+def test_echelon_stands_in_for_its_matrix(rows, entries):
+    ech = la.Echelon(rows)
+    assert la.rank(ech) == len(_bareiss(rows)[1])
+    assert la.nullspace(ech) == _bareiss_nullspace(rows)
+    assert la.rref(ech) == la.rref(ech) == _fraction_rref(rows)
+    if rows:
+        v = entries[:len(rows[0])]
+        assert la.project_onto_span(ech, v) == la.project_onto_span(rows, v)
+
+
+def test_echelon_checks_its_pivot_rows(monkeypatch):
+    real = la._eliminate
+
+    def uncleared(m, pivot_cols):
+        pivots = real(m, pivot_cols)
+        m[0][pivots[1]] = 1  # pivot row 0 no longer zero in pivot column 1
+        return pivots
+
+    monkeypatch.setattr(la, "_eliminate", uncleared)
+    with pytest.raises(ArithmeticError, match="pivot row 0"):
+        la.Echelon([[1, 2], [3, 4]])
+
+
 def _catalog_columns(label):
     """Columns of a whole catalog, or of a sub-list that leaves targets outside."""
     space_id, _, part = label.partition("-")

@@ -195,14 +195,99 @@ def _fresh_action(kind, n, ordering="canonical"):
     return ActionSpace(len(space), n, space.act_index, f"{kind}{n}")
 
 
+def _seeded_vector(seed, dim):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 7, 12))) for _ in range(dim)]
+
+
 @pytest.mark.parametrize("kind,n,ordering", [
     ("cyclic", 4, "paper"), ("cyclic", 5, "paper"), ("rolo", 4, "paper"),
     ("trad", 4, "canonical"), ("rolo", 5, "canonical"),
 ])
 def test_projector_matches_brute_oracle(kind, n, ordering):
     space = _fresh_action(kind, n, ordering)
+    v = _seeded_vector(f"{kind}{n}", space.dim)
     for lam in partitions(n):
-        assert isotypic_projector(space, lam) == _brute_projector(space, lam), lam
+        brute = _brute_projector(space, lam)
+        assert isotypic_projector(space, lam) == brute, lam
+        assert project_vector(v, space, lam) == la.mat_vec(brute, v), lam
+
+
+def _direct_sum(*spaces):
+    """The spaces side by side: index start + i of a summand moves as its index i."""
+    starts = [sum(s.dim for s in spaces[:k]) for k in range(len(spaces))]
+
+    def act(sigma, i):
+        for start, s in zip(reversed(starts), reversed(spaces)):
+            if i >= start:
+                return start + s.act(sigma, i - start)
+
+    return ActionSpace(sum(s.dim for s in spaces), spaces[0].n, act, "direct sum")
+
+
+def test_projector_on_a_space_with_several_orbits():
+    # a fixed point, the 6 cyclic orders and the 24 TRAD ballots: orbits of
+    # sizes 1, 6 and 24, based at indices 0, 1 and 7
+    point = ActionSpace(1, 4, lambda s, i: i)
+    space = _direct_sum(point, _fresh_action("cyclic", 4, "paper"), _fresh_action("trad", 4))
+    bases, _ = space.transversal
+    assert bases == (0,) + (1,) * 6 + (7,) * 24
+    v = _seeded_vector("several orbits", space.dim)
+    acc = la.zeros(space.dim)
+    for lam in partitions(4):
+        brute = _brute_projector(space, lam)
+        assert isotypic_projector(space, lam) == brute, lam
+        component = project_vector(v, space, lam)
+        assert component == la.mat_vec(brute, v), lam
+        acc = la.add(acc, component)
+    assert acc == la.vec(v)
+
+
+def test_transversal_rows_send_each_base_to_its_index():
+    space = _fresh_action("rolo", 4, "paper")
+    table, dim = space.group_table[0], space.dim
+    bases, offsets = space.transversal
+    assert bases == (0,) * dim
+    assert all(table[row + b] == i for i, (b, row) in enumerate(zip(bases, offsets)))
+    representation._check_transversal(space, (bases, offsets))
+
+
+@pytest.mark.parametrize("spoil", ["swapped rows", "misaligned row", "wrong base", "short"])
+def test_transversal_postcondition_is_checked(spoil):
+    space = _fresh_action("cyclic", 4, "paper")
+    bases, offsets = space.transversal
+    if spoil == "swapped rows":
+        offsets = (offsets[1], offsets[0]) + offsets[2:]
+    elif spoil == "misaligned row":  # holds 0 at the base's place, but starts mid-row
+        table, dim = space.group_table[0], space.dim
+        offsets = (next(p for p in range(len(table)) if p % dim and table[p] == 0),) + offsets[1:]
+    elif spoil == "wrong base":
+        bases = (1,) + bases[1:]
+    else:
+        bases, offsets = bases[:-1], offsets[:-1]
+    with pytest.raises(ValueError, match="transversal"):
+        representation._check_transversal(space, (bases, offsets))
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "rolo"])
+def test_components_sum_back_at_n6(kind):
+    space = action_space(build_ballot_space(kind, 6, "canonical"))
+    for seed in range(2):
+        v = _seeded_vector(f"sum back {kind} {seed}", space.dim)
+        acc = la.zeros(space.dim)
+        for lam in partitions(6):
+            acc = la.add(acc, project_vector(v, space, lam))
+        assert acc == la.vec(v)
+
+
+def test_base_rows_are_cached_per_partition():
+    space = _fresh_action("cyclic", 5, "paper")
+    lam = Partition((3, 1, 1))
+    project_vector((1,) * space.dim, space, lam)
+    rows = space.base_rows[lam]
+    assert list(rows) == [0] and len(rows[0]) == space.dim
+    isotypic_projector(space, lam)
+    assert space.base_rows[lam] is rows
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "rolo"])
