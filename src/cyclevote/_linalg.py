@@ -1,17 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists/tuples of equal-length rows of ints or Fractions.  All row
-reduction is one fraction-free Gauss–Jordan pass, `_eliminate`: each row is
-cleared of denominators, rows are combined by integer cross-multiplication,
+reduction is one fraction-free Gauss–Jordan routine, `_eliminate`: each row
+is cleared of denominators, rows are combined by integer cross-multiplication,
 and every combined row is divided by the gcd of its entries, which keeps the
-integers small.  The pass leaves each pivot row zero in every other pivot
-column, so dividing a pivot row by its pivot entry gives the reduced row
-echelon form.  That form is unique, so `rank`, `rref` and the canonical
-`nullspace` basis all read off the same integer rows, which an `Echelon` keeps
-for a matrix that is read more than once.  `SpanSolver` runs the
-pass once on [A | I] and keeps the integer transform, so every later solve
-against the same columns is one integer mat-vec.  Everything here is exact;
-no floats ever appear.
+integers small.  A forward pass clears below each pivot, on the row tail from
+the pivot column; a back pass then clears above each pivot, last pivot first.
+A matrix of full column rank skips the back pass: its reduced form is the
+identity, so its pivot rows are written as unit rows.  Either way each pivot
+row ends zero in every other pivot column, so dividing it by its pivot entry
+gives the reduced row echelon form.  Pivot rows are nonzero multiples of that
+form's rows of either sign; the form itself is unique, so `rank`, `rref` and
+the canonical `nullspace` basis all read off the same integer rows, which an
+`Echelon` keeps for a matrix that is read more than once.  `SpanSolver`
+eliminates [A | I] once, always with the back pass (pivots are sought in A's
+columns only, never the whole row), and keeps the integer transform, so every
+later solve against the same columns is one integer mat-vec.  Everything here
+is exact; no floats ever appear.
 """
 from __future__ import annotations
 
@@ -49,10 +54,6 @@ def scale(k, v: Sequence) -> Vector:
     return tuple(k * Fraction(a) for a in v)
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
 def _scaled_ints(v: Sequence) -> tuple[list[int], int]:
     """Write v as (integer vector) / denominator, exactly."""
     den = lcm(*[x.denominator for x in v])
@@ -86,15 +87,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     )
 
 
-def transpose(m: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in col) for col in zip(*m))
-
-
-def identity_matrix(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def is_zero(v: Sequence) -> bool:
     return all(x == 0 for x in v)
 
@@ -103,10 +95,20 @@ def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
     """Fraction-free Gauss–Jordan on integer rows, in place; returns the pivot columns.
 
     Pivots are sought in the first pivot_cols columns only, left to right.
-    Afterwards row i (i < number of pivots) is the i-th pivot row: every other
-    pivot column holds 0 in it.  The rows after the pivot rows are zero in the
-    first pivot_cols columns.  A row is only ever replaced by a nonzero
-    multiple of itself plus a multiple of the pivot row, so the row space is
+    The forward pass clears the rows below each pivot; every entry left of
+    the pivot column is already zero in those rows, so only the row tail from
+    the pivot column is combined.  The back pass then clears the rows above
+    each pivot, last pivot first.  Afterwards row i (i < number of pivots) is
+    the i-th pivot row: every other pivot column holds 0 in it.  The rows
+    after the pivot rows are zero in the first pivot_cols columns.
+
+    When every one of the pivot_cols columns is a pivot and they make up the
+    whole row (full column rank), the reduced form is the identity, so pivot
+    row i is written as the unit row e_i and the back pass is skipped.
+    Otherwise a pivot row is a nonzero integer multiple, of either sign, of
+    its reduced row echelon row; rank, nullspace, rref and project_onto_span
+    do not depend on that sign.  A row is only ever replaced by a nonzero
+    multiple of itself plus a multiple of a pivot row, so the row space is
     unchanged.
     """
     pivots: list[int] = []
@@ -121,17 +123,32 @@ def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
         m[r], m[pr] = m[pr], m[r]
         g = gcd(*m[r])
         prow = m[r] = [x // g for x in m[r]]
-        p = prow[c]
-        for i in range(nrows):
+        p, tail = prow[c], prow[c:]
+        for i in range(r + 1, nrows):
             k = m[i][c]
-            if k and i != r:
+            if k:
+                g = gcd(p, k)
+                a, b = p // g, k // g
+                row = [a * x - b * y for x, y in zip(m[i][c:], tail)]
+                g = gcd(*row)
+                m[i] = [0] * c + ([x // g for x in row] if g > 1 else row)
+        pivots.append(c)
+        r += 1
+    if nrows and r == pivot_cols == len(m[0]):
+        for i in range(r):
+            m[i] = [int(i == j) for j in range(r)]
+        return pivots
+    for j in range(r - 1, 0, -1):
+        c, prow = pivots[j], m[j]
+        p = prow[c]
+        for i in range(j):
+            k = m[i][c]
+            if k:
                 g = gcd(p, k)
                 a, b = p // g, k // g
                 row = [a * x - b * y for x, y in zip(m[i], prow)]
                 g = gcd(*row)
                 m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
     return pivots
 
 
@@ -140,15 +157,19 @@ class Echelon:
 
     rank, nullspace, rref, row_space_basis and project_onto_span accept one in
     place of the matrix, so a matrix that several of them read is eliminated
-    only once.  The pivot-row property of _eliminate is checked on
-    construction: pivot row i is nonzero in pivot column i and zero in every
-    other pivot column.
+    only once.  A ScaledMatrix is accepted in place of the matrix, so rows
+    whose denominators are already cleared are not cleared again.  The
+    pivot-row property of _eliminate is checked on construction: pivot row i
+    is nonzero in pivot column i and zero in every other pivot column.
     """
 
     __slots__ = ("rows", "pivots", "ncols")
 
-    def __init__(self, m: Sequence[Sequence]):
-        rows = [_scaled_ints(row)[0] for row in m]
+    def __init__(self, m: Sequence[Sequence] | ScaledMatrix):
+        if isinstance(m, ScaledMatrix):
+            rows = [list(row) for row, _ in m.rows]
+        else:
+            rows = [_scaled_ints(row)[0] for row in m]
         self.ncols = len(rows[0]) if rows else 0
         self.pivots = _eliminate(rows, self.ncols)
         self.rows = rows[:len(self.pivots)]
@@ -190,7 +211,9 @@ def nullspace(rows: Sequence[Sequence] | Echelon) -> list[Vector]:
 def rref(rows: Sequence[Sequence] | Echelon) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot cols)."""
     ech = _echelon(rows)
-    return ([tuple(Fraction(x, row[p]) for x in row) for row, p in zip(ech.rows, ech.pivots)],
+    zero = Fraction(0)
+    return ([tuple(Fraction(x, row[p]) if x else zero for x in row)
+             for row, p in zip(ech.rows, ech.pivots)],
             list(ech.pivots))
 
 
@@ -252,14 +275,20 @@ class SpanSolver:
 
     def solve(self, target: Sequence) -> list[Fraction] | None:
         """Coefficients c with sum(c[j] * column j) == target, or None outside the span."""
-        if len(target) != self.dim:
-            raise ValueError(f"target length {len(target)} != {self.dim}")
-        nb, db = _scaled_ints(target)
+        return self.solve_ints(*_scaled_ints(target))
+
+    def solve_ints(self, nb: Sequence[int], db: int = 1) -> list[Fraction] | None:
+        """solve() for the target nb / db, given as integers and one denominator."""
+        if len(nb) != self.dim:
+            raise ValueError(f"target length {len(nb)} != {self.dim}")
         if any(sum(map(mul, t, nb)) for t in self._null_rows):
             return None
-        coeffs = [Fraction(0)] * self._ncols
+        zero = Fraction(0)
+        coeffs = [zero] * self._ncols
         for (t, d), p in zip(self._pivot_rows, self.pivots):
-            coeffs[p] = Fraction(sum(map(mul, t, nb)), d * db)
+            s = sum(map(mul, t, nb))
+            if s:
+                coeffs[p] = Fraction(s, d * db)
         return coeffs
 
 

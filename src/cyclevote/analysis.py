@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import _linalg as la
@@ -48,14 +50,6 @@ class Profile:
 
 def profile(space: BallotSpace, weights: Iterable) -> Profile:
     return Profile(space, la.vec(weights))
-
-
-def profile_from_ballots(space: BallotSpace, weighted: dict) -> Profile:
-    """Profile from a {ballot: weight} mapping; omitted ballots weigh zero."""
-    w = [Fraction(0)] * len(space)
-    for ballot, value in weighted.items():
-        w[space.index_of(ballot)] = Fraction(value)
-    return Profile(space, tuple(w))
 
 
 def act_on_profile(sigma: Permutation, p: Profile) -> Profile:
@@ -131,6 +125,16 @@ class CatalogEntry:
     label: str
     partition: Partition
     vectors: tuple[la.Vector, ...]
+
+    @cached_property
+    def scaled(self) -> la.ScaledMatrix:
+        """The vectors as (integer row, denominator) rows, cleared once."""
+        return la.ScaledMatrix(self.vectors)
+
+    @cached_property
+    def columns(self) -> la.ScaledMatrix:
+        """The vectors as matrix columns, cleared once, for expanding coefficients."""
+        return la.ScaledMatrix(zip(*self.vectors))
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,7 @@ def decompose_profile(p: Profile, catalog: SubspaceCatalog) -> list[DecomposedCo
     for entry in catalog.entries:
         k = len(entry.vectors)
         cs = tuple(coeffs[pos:pos + k])
-        component = la.mat_vec(list(zip(*entry.vectors)), cs)
+        component = la.mat_vec(entry.columns, cs)
         out.append(DecomposedComponent(entry.label, entry.partition, cs, component))
         pos += k
     return out
@@ -355,9 +359,20 @@ def scaling_report(
 ) -> ScalingReport:
     """Apply the rule to every catalog basis vector and classify the action.
 
-    With expand_images the image of every "mapped" basis vector is also
-    expressed in outcome-catalog coordinates; skipping that keeps bulk
-    parameter sweeps cheap.
+    An entry is "scalar" ("zero" for the scalar 0) when the rule maps every
+    one of its vectors to the same multiple of itself, which needs the
+    outcome space to be the ballot space; otherwise it is "mapped", or "zero"
+    when every image vanishes.  With expand_images the image of every
+    "mapped" basis vector is also expressed in outcome-catalog coordinates;
+    skipping that keeps bulk parameter sweeps cheap.  The quadratic field
+    holds the eigenvalue of M Mᵀ on each outcome-catalog entry.
+
+    The work runs in integers.  M is written once as N / d with one common
+    denominator d, and a catalog vector v as u / e, so that M v = N u / (d e)
+    and M Mᵀ v = N (Nᵀ u) / (d² e).  Whether an integer image w is a multiple
+    of u is the cross-multiplication test w[i] u[p] == w[p] u[i], and the
+    multiple w[p] / (d u[p]) does not depend on e.  Fractions are built only
+    for the fields of the report.
     """
     if catalog.dim != len(m.ballot_space):
         raise ValueError(
@@ -366,53 +381,67 @@ def scaling_report(
     same_space = m.outcome_space == m.ballot_space
     if outcome_catalog is None:
         outcome_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
+    d = lcm(*(den for _, den in m.scaled.rows))
+    rows = [[x * (d // den) for x in row] for row, den in m.scaled.rows]
 
+    zero = Fraction(0)
     entries = []
     for entry in catalog.entries:
-        images = tuple(la.mat_vec(m.scaled, v) for v in entry.vectors)
-        scalar = _common_scalar(entry.vectors, images) if same_space else None
+        vectors = entry.scaled.rows
+        products = [_int_mat_vec(rows, u) for u, _ in vectors]
+        images = tuple(
+            tuple(Fraction(x, d * e) if x else zero for x in w)
+            for w, (_, e) in zip(products, vectors)
+        )
+        scalar = _common_scalar([u for u, _ in vectors], products, d) if same_space else None
         if scalar is not None:
             kind = "zero" if scalar == 0 else "scalar"
             entries.append(EntryScaling(entry.label, entry.partition, kind, scalar, images, None))
             continue
-        if all(la.is_zero(img) for img in images):
-            entries.append(
-                EntryScaling(entry.label, entry.partition, "zero", Fraction(0), images, None)
-            )
+        if not any(map(any, products)):
+            entries.append(EntryScaling(entry.label, entry.partition, "zero", zero, images, None))
             continue
         coords = None
         if expand_images:
-            coords = tuple(
-                tuple(outcome_catalog.solver.solve(img) or ()) for img in images
-            )
+            solve = outcome_catalog.solver.solve_ints
+            coords = tuple(tuple(solve(w, d * e) or ()) for w, (_, e) in zip(products, vectors))
         entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
 
-    mmt = la.ScaledMatrix(la.mat_mul(m.entries, la.transpose(m.entries)))
+    columns = list(zip(*rows))
     quadratic = {}
     for entry in outcome_catalog.entries:
-        quadratic[entry.label] = _common_scalar(
-            entry.vectors, tuple(la.mat_vec(mmt, v) for v in entry.vectors)
-        )
+        us = [u for u, _ in entry.scaled.rows]
+        gram_images = [_int_mat_vec(rows, _int_mat_vec(columns, u)) for u in us]
+        quadratic[entry.label] = _common_scalar(us, gram_images, d * d)
     return ScalingReport(m.rule_name, tuple(entries), quadratic)
 
 
-def _common_scalar(vectors, images) -> Fraction | None:
-    """The single k with image == k * vector for every pair, if one exists."""
-    k = None
-    for v, img in zip(vectors, images):
-        if la.is_zero(v):
-            if not la.is_zero(img):
-                return None
+def _int_mat_vec(rows: Sequence[Sequence[int]], u: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, u)) for row in rows]
+
+
+def _common_scalar(
+    vectors: list[list[int]], images: list[list[int]], den: int
+) -> Fraction | None:
+    """The single k with image == den * k * vector for every pair, if one exists.
+
+    All entries are integers, and each image is a linear image of its
+    vector, so a zero vector has a zero image and fixes no k; with no nonzero
+    vector at all, k is 0.
+    """
+    k = None  # (numerator, denominator) of the first vector's multiple
+    for u, w in zip(vectors, images, strict=True):
+        p = next((i for i, x in enumerate(u) if x), None)
+        if p is None:
             continue
-        pivot = next(i for i, x in enumerate(v) if x != 0)
-        cand = img[pivot] / v[pivot]
-        if any(x != cand * a for x, a in zip(img, v, strict=True)):
+        up, wp = u[p], w[p]
+        if any(x * up != wp * a for x, a in zip(w, u, strict=True)):
             return None
         if k is None:
-            k = cand
-        elif k != cand:
+            k = (wp, den * up)
+        elif wp * k[1] != k[0] * den * up:
             return None
-    return Fraction(0) if k is None else k
+    return Fraction(0) if k is None else Fraction(*k)
 
 
 def generic4_scalars_to_params(t: Fraction, u: Fraction, v: Fraction) -> tuple[Fraction, Fraction, Fraction]:

@@ -129,6 +129,12 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
         return b
     if n != 4:
         raise ValueError(f"favourite order is unique only for n=4, got n={n}")
+    return _completion(b)
+
+
+@lru_cache(maxsize=None)
+def _completion(b: Ballot) -> CyclicOrder:
+    """The one 4-item order consistent with b, found once per ballot."""
     matches = [x for x in enumerate_orders(4) if _consistent(b, x)]
     if len(matches) != 1:
         raise ValueError(f"no unique completion for {b}")  # unreachable for valid ballots

@@ -272,16 +272,6 @@ def decompose_character(chi: ClassFunction) -> DecompositionReport:
     return report
 
 
-def permutation_matrix(space: ActionSpace, sigma: Permutation) -> la.Matrix:
-    """The 0/1 matrix of sigma acting on the basis (column j moves to act(sigma, j))."""
-    one, zero = Fraction(1), Fraction(0)
-    cols = space.moves(sigma)
-    return tuple(
-        tuple(one if cols[j] == i else zero for j in range(space.dim))
-        for i in range(space.dim)
-    )
-
-
 def _base_rows(space: ActionSpace, lam: Partition, limit: int | None) -> dict[int, list[int]]:
     """n!/dim lam times the projector row of each orbit base b, in integers.
 

@@ -54,7 +54,7 @@ class ScoringMatrix:
     @cached_property
     def echelon(self) -> la.Echelon:
         """The entries eliminated once, for the kernel, effective space and masking."""
-        return la.Echelon(self.entries)
+        return la.Echelon(self.scaled)
 
     def score(self, ballot: Ballot, outcome: CyclicOrder) -> Fraction:
         return self.entries[self.outcome_space.index_of(outcome)][self.ballot_space.index_of(ballot)]

@@ -261,10 +261,6 @@ def class_function(n: int, value_of) -> ClassFunction:
     return ClassFunction(n, {mu: Fraction(value_of(mu)) for mu in partitions(n)})
 
 
-def irreducible_class_function(lam: Partition) -> ClassFunction:
-    return class_function(lam.n, lambda mu: irreducible_character(lam, mu))
-
-
 # -- parsing and printing ---------------------------------------------------
 
 def format_partition(mu: Partition) -> str:

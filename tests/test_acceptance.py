@@ -51,6 +51,7 @@ from _goldens import (
     TIE_SPACE_PROFILE,
     TRAD_PROFILE,
 )
+from test_linalg import identity_matrix, transpose
 
 
 def criterion(number, name):
@@ -162,7 +163,7 @@ def test_07_projector_suite():
             acc = tuple(
                 tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(acc, p)
             )
-        assert acc == la.identity_matrix(dim)
+        assert acc == identity_matrix(dim)
         for lam, p in projectors.items():
             for mu, q in projectors.items():
                 if lam != mu:
@@ -226,7 +227,7 @@ def test_10_rolo_family():
     for _ in range(20):
         a, b, c, d, e, f = (random_fraction(rnd, 5) for _ in range(6))
         m = rule("rolo_generic", a, b, c, d, e, f)
-        mt = la.transpose(m.entries)
+        mt = transpose(m.entries)
         eigenvalue = 4 * (a - b) ** 2 + 4 * (c - d) ** 2 + 4 * (f - e) ** 2
         combos = []
         for i, u in enumerate(third_space):

@@ -5,8 +5,12 @@ import pytest
 
 import cyclevote._linalg as la
 from cyclevote.analysis import (
+    CatalogEntry,
+    EntryScaling,
     MaskingInfeasibleError,
     Profile,
+    ScalingReport,
+    SubspaceCatalog,
     act_on_profile,
     catalog_for_space,
     decompose_profile,
@@ -17,16 +21,15 @@ from cyclevote.analysis import (
     masking_profile,
     parse_profile,
     profile,
-    profile_from_ballots,
     scaling_report,
     subspace_catalog,
     tally,
 )
 from cyclevote.ballots import build_ballot_space, favorite_order
 from cyclevote.cyclic_orders import parse_order
-from cyclevote.scoring import rule
+from cyclevote.scoring import FAMILY_ARITY, build_neutral_matrix, rule
 from cyclevote.symmetric_group import parse_permutation
-from test_linalg import _bareiss_nullspace, _fraction_rref
+from test_linalg import _bareiss_nullspace, _fraction_rref, dot, transpose
 from _goldens import (
     PARADOX_PROFILE,
     PARADOX_SCORES,
@@ -149,6 +152,49 @@ def test_rule_matrix_is_eliminated_once(monkeypatch, family, params):
     assert effective == _fraction_rref(m.entries)[0]
 
 
+def _sweep_params(family, seed):
+    """Half-integer parameters like the benchmark sweep's, or small ones that hit zeros."""
+    rng = random.Random(f"scaling-{family}-{seed}")
+    if seed % 2:
+        return [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(FAMILY_ARITY[family])]
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(500, 999), 2)
+            for _ in range(FAMILY_ARITY[family])]
+
+
+#: Parameters that make whole subspaces vanish or coincide.
+_DEGENERATE_PARAMS = {
+    "generic4": (0, 0, 0), "rolo_generic": (1, 1, 1, 1, 1, 1), "rolo_x1": (0,),
+    "generic5": (1,) * 8, "distance5": (0, 0, 0, 0, 0),
+}
+
+#: The eight named families and the CLI's orbit_seeds, each with its catalog.
+_CATALOG_OF_FAMILY = {
+    "generic4": "co4", "rolo_generic": "rolo4", "rolo_x1": "rolo4", "rolo21": "rolo4",
+    "trad21": "trad4", "generic5": "co5", "distance5": "co5", "adjusted_distance5": "co5",
+    "orbit_seeds": "co5",
+}
+
+
+def _family_rules(family):
+    """Seeded rules of a family plus its degenerate one; a two-orbit rule for orbit_seeds."""
+    if family == "orbit_seeds":
+        space = build_ballot_space("cyclic", 5, "paper")
+        seeds = [(space.parse("ABCED"), parse_order("ABCDE"), Fraction(7, 3)),
+                 (space.parse("ADBEC"), parse_order("ABCDE"), Fraction(-1, 2))]
+        return [build_neutral_matrix(space, seeds, space, "orbit_seeds")]
+    params = [_sweep_params(family, seed) for seed in range(4 if FAMILY_ARITY[family] else 1)]
+    if family in _DEGENERATE_PARAMS:
+        params.append(_DEGENERATE_PARAMS[family])
+    return [rule(family, *ps) for ps in params]
+
+
+@pytest.mark.parametrize("family", sorted(_CATALOG_OF_FAMILY))
+def test_kernel_and_effective_bases_match_oracles(family):
+    for m in _family_rules(family):
+        assert kernel_basis(m) == _bareiss_nullspace(m.entries)
+        assert effective_basis(m) == _fraction_rref(m.entries)[0]
+
+
 def test_kernel_contains_v_span_for_flat_rule():
     m = rule("rolo_x1", 1)
     cat = subspace_catalog("rolo4")
@@ -163,7 +209,7 @@ def test_effective_basis_properties():
     assert len(eff) + len(ker) == 24
     for e in eff:
         for k in ker:
-            assert la.dot(e, k) == 0
+            assert dot(e, k) == 0
     assert effective_basis(rule("generic4", 0, 0, 0)) == []
 
 
@@ -293,6 +339,133 @@ def test_scaling_report_rolo_quadratics():
     assert t_entry.image_coords[0][0] == 16  # image is 16 * the all-ones outcome
 
 
+# -- oracle: the Fraction scaling report the integer one replaced -------------
+
+def _fraction_common_scalar(vectors, images):
+    """The single k with image == k * vector for every pair, if one exists."""
+    k = None
+    for v, img in zip(vectors, images):
+        if la.is_zero(v):
+            if not la.is_zero(img):
+                return None
+            continue
+        pivot = next(i for i, x in enumerate(v) if x != 0)
+        cand = img[pivot] / v[pivot]
+        if any(x != cand * a for x, a in zip(img, v, strict=True)):
+            return None
+        if k is None:
+            k = cand
+        elif k != cand:
+            return None
+    return Fraction(0) if k is None else k
+
+
+def _fraction_scaling_report(m, catalog, outcome_catalog=None, expand_images=True):
+    """scaling_report by Fraction mat-vecs and a Fraction M Mᵀ."""
+    same_space = m.outcome_space == m.ballot_space
+    if outcome_catalog is None:
+        outcome_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
+    entries = []
+    for entry in catalog.entries:
+        images = tuple(la.mat_vec(m.entries, v) for v in entry.vectors)
+        scalar = _fraction_common_scalar(entry.vectors, images) if same_space else None
+        if scalar is not None:
+            kind = "zero" if scalar == 0 else "scalar"
+            entries.append(EntryScaling(entry.label, entry.partition, kind, scalar, images, None))
+            continue
+        if all(la.is_zero(img) for img in images):
+            entries.append(
+                EntryScaling(entry.label, entry.partition, "zero", Fraction(0), images, None)
+            )
+            continue
+        coords = None
+        if expand_images:
+            coords = tuple(tuple(outcome_catalog.solver.solve(img) or ()) for img in images)
+        entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
+    mmt = la.mat_mul(m.entries, transpose(m.entries))
+    quadratic = {
+        entry.label: _fraction_common_scalar(
+            entry.vectors, tuple(la.mat_vec(mmt, v) for v in entry.vectors)
+        )
+        for entry in outcome_catalog.entries
+    }
+    return ScalingReport(m.rule_name, tuple(entries), quadratic)
+
+
+def _assert_report_matches_oracle(m, catalog, outcome_catalog=None):
+    for expand in (True, False):
+        got = scaling_report(m, catalog, outcome_catalog, expand_images=expand)
+        assert got == _fraction_scaling_report(m, catalog, outcome_catalog, expand)
+
+
+@pytest.mark.parametrize("family", sorted(_CATALOG_OF_FAMILY))
+def test_scaling_report_matches_fraction_oracle_for_every_family(family):
+    # between them the families cover every catalog: co4, rolo4, trad4 and co5
+    catalog = subspace_catalog(_CATALOG_OF_FAMILY[family])
+    for m in _family_rules(family):
+        assert catalog_for_space(m.ballot_space).space_id == catalog.space_id
+        _assert_report_matches_oracle(m, catalog)
+
+
+@pytest.mark.parametrize("family,params", [("rolo21", ()), ("trad21", ()), ("rolo_x1", (1,)),
+                                           ("rolo_x1", (Fraction(-701, 2),))])
+def test_scaling_report_matches_fraction_oracle_across_spaces(family, params):
+    m = rule(family, *params)
+    assert m.outcome_space != m.ballot_space
+    assert (m.ballot_space.kind, m.outcome_space.kind, m.outcome_space.n) == (family[:4], "cyclic", 4)
+    catalog = catalog_for_space(m.ballot_space)
+    _assert_report_matches_oracle(m, catalog)
+    _assert_report_matches_oracle(m, catalog, subspace_catalog("co4"))
+    report = scaling_report(m, catalog)
+    assert all(e.scalar is None or e.kind == "zero" for e in report.entries)
+    assert any(e.kind == "mapped" and e.image_coords for e in report.entries)
+
+
+def _scaled_catalog(catalog, extra=()):
+    """The catalog with its vectors scaled by 1/2 and 1/3 in turn, plus extra entries."""
+    entries = tuple(
+        CatalogEntry(e.label, e.partition,
+                     tuple(la.scale(Fraction(1, 2 + k % 2), v) for k, v in enumerate(e.vectors)))
+        for e in catalog.entries
+    )
+    return SubspaceCatalog(catalog.space_id, catalog.n, catalog.dim, entries + tuple(extra))
+
+
+@pytest.mark.parametrize("family", ["generic5", "distance5", "adjusted_distance5", "generic4",
+                                    "rolo_generic"])
+def test_scaling_report_matches_fraction_oracle_on_fractional_catalogs(family):
+    m = rule(family, *_sweep_params(family, 0))
+    base = catalog_for_space(m.ballot_space)
+    dim = base.dim
+    # a zero vector fixes no scalar; beside a nonzero vector it must not veto
+    # one.  Vectors of two subspaces with different scalars share none.
+    first, last = base.entries[0], base.entries[-1]
+    extra = (CatalogEntry("nil", first.partition, (la.zeros(dim),)),
+             CatalogEntry("T+nil", first.partition,
+                          (la.zeros(dim), la.scale(Fraction(5, 6), first.vectors[0]))),
+             CatalogEntry("mixed", first.partition,
+                          (la.scale(Fraction(7, 4), first.vectors[0]), last.vectors[0])))
+    catalog = _scaled_catalog(base, extra)
+    assert any(x.denominator == 3 for e in catalog.entries for v in e.vectors for x in v)
+    outcome = None if m.outcome_space == m.ballot_space else _scaled_catalog(subspace_catalog("co4"))
+    _assert_report_matches_oracle(m, catalog, outcome)
+    # scaling a vector scales its image and leaves the scalars alone
+    plain = scaling_report(m, base, None if outcome is None else subspace_catalog("co4"))
+    scaled = scaling_report(m, catalog, outcome)
+    for e, f in zip(plain.entries, scaled.entries):
+        assert f.scalar == e.scalar
+        for k, (img, img_scaled) in enumerate(zip(e.images, f.images)):
+            assert img_scaled == la.scale(Fraction(1, 2 + k % 2), img)
+    nil, t_nil, mixed = scaled.entries[-3:]
+    assert nil.kind == "zero" and nil.scalar == 0
+    assert mixed.kind == "mapped"
+    expected = dict(plain.quadratic)
+    if outcome is None:
+        assert t_nil.scalar == plain.entries[0].scalar
+        expected.update({"nil": 0, "T+nil": plain.quadratic["T"], "mixed": None})
+    assert scaled.quadratic == expected
+
+
 def test_adjusted_rule_annihilates_everything_but_pairdiff():
     adj = rule("adjusted_distance5")
     rep = scaling_report(adj, subspace_catalog("co5"))
@@ -359,6 +532,14 @@ def test_profile_file_roundtrip():
         parse_profile("A|D,C\tx", space)
     with pytest.raises(ValueError):
         parse_profile("A|D,C 1 2", space)
+
+
+def profile_from_ballots(space, weighted):
+    """Profile from a {ballot: weight} mapping; omitted ballots weigh zero."""
+    w = [Fraction(0)] * len(space)
+    for ballot, value in weighted.items():
+        w[space.index_of(ballot)] = Fraction(value)
+    return Profile(space, tuple(w))
 
 
 def test_profile_from_ballots():

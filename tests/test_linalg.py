@@ -15,6 +15,21 @@ small_matrix = st.lists(
 )
 
 
+# -- matrix helpers the library does not need --------------------------------
+
+def identity_matrix(n):
+    one, zero = Fraction(1), Fraction(0)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def transpose(m):
+    return tuple(tuple(Fraction(x) for x in col) for col in zip(*m))
+
+
+def dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
 # -- oracles: the two row reductions the integer Gauss-Jordan kernel replaced --
 
 def _fraction_rref(rows):
@@ -170,7 +185,7 @@ def test_project_onto_span_is_orthogonal(rows, entries):
     proj = la.project_onto_span(rows, v)
     assert la.solve_in_span(rows, proj) is not None
     residual = la.sub(v, proj)
-    assert all(la.dot(residual, row) == 0 for row in rows)
+    assert all(dot(residual, row) == 0 for row in rows)
 
 
 @given(rational_matrix(), st.lists(_entry, min_size=7, max_size=7))
@@ -183,6 +198,86 @@ def test_echelon_stands_in_for_its_matrix(rows, entries):
     if rows:
         v = entries[:len(rows[0])]
         assert la.project_onto_span(ech, v) == la.project_onto_span(rows, v)
+
+
+@st.composite
+def full_column_rank_matrix(draw):
+    """An invertible upper triangle plus free rows, mixed by row operations.
+
+    Adding multiples of earlier rows and permuting rows keeps the column
+    rank, so every drawn matrix has rank equal to its column count.
+    """
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(ncols, 8))
+    nonzero = _entry.filter(lambda x: x != 0)
+    rows = [[draw(nonzero) if j == i else draw(_entry) if j > i else 0 for j in range(ncols)]
+            for i in range(ncols)]
+    rows += [draw(st.lists(_entry, min_size=ncols, max_size=ncols))
+             for _ in range(nrows - ncols)]
+    for i in range(1, nrows):
+        for j in range(i):
+            k = draw(st.integers(-2, 2))
+            rows[i] = [Fraction(a) + k * Fraction(b) for a, b in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows))
+
+
+def _assert_unit_rows(rows):
+    """_eliminate leaves unit rows over zero rows, and the oracles agree."""
+    ncols = len(rows[0])
+    assert _bareiss(rows)[1] == list(range(ncols))  # full column rank, by the oracle
+    m = [la._scaled_ints(row)[0] for row in rows]
+    assert la._eliminate(m, ncols) == list(range(ncols))
+    unit = [[int(i == j) for j in range(ncols)] for i in range(len(rows))]
+    assert m == unit
+    assert la.Echelon(rows).rows == unit[:ncols]
+    assert la.rref(rows) == _fraction_rref(rows)
+    assert la.rank(rows) == ncols
+    assert la.nullspace(rows) == _bareiss_nullspace(rows) == []
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 3]],
+    [[Fraction(1, 2), 3, -1], [4, 0, 2], [1, 1, Fraction(-2, 3)]],
+    [[1, 2], [3, 4], [5, 6], [0, 0]],
+    [[0, 2, 1], [3, 0, 0], [1, 1, 1]],  # the first pivot needs a row swap
+    [[0, 0], [0, 5], [7, 0]],
+], ids=["square", "square-fractional", "tall", "row-swap", "tall-row-swaps"])
+def test_full_column_rank_gives_unit_rows(rows):
+    _assert_unit_rows(rows)
+
+
+@given(full_column_rank_matrix(), st.lists(_entry, min_size=8, max_size=8))
+@settings(max_examples=150)
+def test_full_column_rank_matches_oracles(rows, target):
+    _assert_unit_rows(rows)
+    # the columns of rows as a spanning set: SpanSolver always runs the back pass
+    columns = [list(col) for col in zip(*rows)]
+    target = target[:len(rows)]
+    assert la.SpanSolver(columns, len(rows)).solve(target) == _oracle_solve(columns, target)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1]],
+    [[0, 0, 3, 1, 2], [0, 0, 6, 2, 4], [1, 0, 0, 0, 1]],
+    [[0, 1, 2], [0, 2, 4]],
+], ids=["wide", "wide-zero-columns", "wide-leading-zero-column"])
+def test_rank_deficient_matches_oracles(rows):
+    ech = la.Echelon(rows)
+    assert ech.pivots == _bareiss(rows)[1] and len(ech.pivots) < len(rows[0])
+    assert la.rref(ech) == _fraction_rref(rows)
+    assert la.nullspace(ech) == _bareiss_nullspace(rows)
+    # pivot rows are zero in the other pivot columns, whatever their sign
+    for i, row in enumerate(ech.rows):
+        assert [row[p] != 0 for p in ech.pivots] == [i == j for j in range(len(ech.pivots))]
+
+
+@given(rational_matrix())
+def test_echelon_of_a_scaled_matrix(rows):
+    scaled = la.ScaledMatrix(rows)
+    cleared = [(list(row), den) for row, den in scaled.rows]
+    a, b = la.Echelon(scaled), la.Echelon(rows)
+    assert (a.rows, a.pivots, a.ncols) == (b.rows, b.pivots, b.ncols)
+    assert scaled.rows == cleared  # elimination leaves the scaled rows as they were
 
 
 def test_echelon_checks_its_pivot_rows(monkeypatch):
@@ -338,6 +433,6 @@ def test_solve_recovers_combination(coeffs):
 
 def test_mat_mul_and_transpose():
     a = ((1, 2), (3, 4))
-    assert la.mat_mul(a, la.identity_matrix(2)) == la.mat(a)
-    assert la.transpose(la.transpose(a)) == la.mat(a)
-    assert la.dot((1, 2, 3), (4, 5, 6)) == 32
+    assert la.mat_mul(a, identity_matrix(2)) == la.mat(a)
+    assert transpose(transpose(a)) == la.mat(a)
+    assert dot((1, 2, 3), (4, 5, 6)) == 32

@@ -14,7 +14,6 @@ from cyclevote.representation import (
     decompose_character,
     is_equivariant_matrix,
     isotypic_projector,
-    permutation_matrix,
     project_vector,
     space_character,
 )
@@ -29,10 +28,24 @@ from cyclevote.symmetric_group import (
     generators,
     identity,
     irreducible_character,
-    irreducible_class_function,
     partitions,
     specht_dimension,
 )
+from test_linalg import identity_matrix
+
+
+def permutation_matrix(space, sigma):
+    """The 0/1 matrix of sigma acting on the basis (column j moves to act(sigma, j))."""
+    one, zero = Fraction(1), Fraction(0)
+    cols = space.moves(sigma)
+    return tuple(
+        tuple(one if cols[j] == i else zero for j in range(space.dim))
+        for i in range(space.dim)
+    )
+
+
+def irreducible_class_function(lam):
+    return class_function(lam.n, lambda mu: irreducible_character(lam, mu))
 
 
 def co_space(n):
@@ -113,7 +126,7 @@ def test_projector_trivial_component():
 def test_projector_algebra_co4():
     space = co_space(4)
     projs = {lam: isotypic_projector(space, lam) for lam in partitions(4)}
-    total = la.identity_matrix(6)
+    total = identity_matrix(6)
     acc = tuple(tuple(Fraction(0) for _ in range(6)) for _ in range(6))
     for lam, p in projs.items():
         assert la.mat_mul(p, p) == p
@@ -315,7 +328,7 @@ def test_equivariance_check_matches_dense_commutator():
 
     rng = random.Random(7)
     swap = permutation_matrix(space, generators(4)[0])  # fixed by the transposition only
-    candidates = [rule("generic4", 2, 1, 0).entries, la.identity_matrix(6), swap]
+    candidates = [rule("generic4", 2, 1, 0).entries, identity_matrix(6), swap]
     candidates += [[[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)] for _ in range(20)]
     for m in candidates:
         assert is_equivariant_matrix(space, m) == dense(m)
