@@ -41,17 +41,22 @@ def zeros(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
+def _q(x) -> Fraction:
+    """x as a Fraction; a Fraction is passed through, not rebuilt."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def add(u: Sequence, v: Sequence) -> Vector:
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v, strict=True))
+    return tuple(_q(a) + _q(b) for a, b in zip(u, v, strict=True))
 
 
 def sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v, strict=True))
+    return tuple(_q(a) - _q(b) for a, b in zip(u, v, strict=True))
 
 
 def scale(k, v: Sequence) -> Vector:
-    k = Fraction(k)
-    return tuple(k * Fraction(a) for a in v)
+    k = _q(k)
+    return tuple(k * _q(a) for a in v)
 
 
 def _scaled_ints(v: Sequence) -> tuple[list[int], int]:

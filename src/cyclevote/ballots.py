@@ -193,9 +193,6 @@ class BallotSpace:
         except KeyError:
             raise ValueError(f"{b} is not a ballot of {self!r}") from None
 
-    def act(self, sigma: Permutation, b: Ballot) -> Ballot:
-        return act_on_ballot(sigma, b)
-
     def act_index(self, sigma: Permutation, i: int) -> int:
         return self._index[act_on_ballot(sigma, self.ballots[i])]
 

@@ -7,34 +7,30 @@ irreducible character weights gives the exact rational projector onto each
 isotypic component.
 
 The action is read from ``act`` once per generator and once per class
-representative.  A group table holds the index permutation of every element
-of S_n: it is built on first use by breadth-first search from the generator
-moves, checked against ``act``, grouped by cycle type and kept on the space
-as one compact integer array.  The projector P commutes with the action, so
-P[rho(g)[i]][rho(g)[j]] = P[i][j]: it is fixed by one row per orbit.  Each
-base row is one integer count over one column of the table, and every other
-row is a base row permuted by a table row (a transversal, also cached on the
-space).  A projection is therefore dim**2 integer products, not an n!-term
-sum.  The table has n! rows, so projections are capped at small degrees
-(GROUP_SUM_LIMIT).
+representative.  The projector P commutes with the action, so
+P[rho(g)[i]][rho(g)[j]] = P[i][j]: row i is the base row of i's orbit
+permuted by rho(g_i), for a transversal element g_i carrying the base to i.
+Two checked breadth-first searches per orbit (_orbits), one over all n!
+elements of S_n and one over the orbit, give the transversal rows and the
+per-class counts from which each base row is summed in integers.  A
+projection is then dim**2 integer products, not an n!-term sum; the search
+over S_n caps projections at small degrees (GROUP_SUM_LIMIT).
 """
 from __future__ import annotations
 
-from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from operator import itemgetter, mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import _linalg as la
 from .symmetric_group import (
     ClassFunction,
     Partition,
     Permutation,
-    all_permutations,
     class_function,
     class_representative,
     cycle_type,
@@ -46,15 +42,21 @@ from .symmetric_group import (
     specht_dimension,
 )
 
-#: Degrees above this make the n!-row group table unreasonable.
+#: Degrees above this make a search over all n! elements of S_n unreasonable.
 GROUP_SUM_LIMIT = 7
 
-#: (cycle type, start, stop): the slice of the flat table that one class fills.
-ClassSlice = tuple[Partition, int, int]
 
-#: (bases, offsets): for each index i, the least index b of i's orbit and the
-#: table offset of the row of some sigma with rho(sigma)[b] == i.
-Transversal = tuple[tuple[int, ...], tuple[int, ...]]
+class Orbits(NamedTuple):
+    """The orbits of an action, found by _orbits.
+
+    bases[i] is the least index b of i's orbit and rows[i] is rho(g) for a g
+    with rho(g)[b] == i; counts[b][mu, k] is the number of sigma of cycle
+    type mu with rho(sigma)[b] == k.
+    """
+
+    bases: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    counts: dict[int, Counter]
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,9 @@ class ActionSpace:
         return {mu: self.moves(class_representative(mu)) for mu in partitions(self.n)}
 
     @cached_property
-    def group_table(self) -> tuple[array, tuple[ClassSlice, ...]]:
-        """The index permutation of every element of S_n; see _group_table."""
-        return _group_table(self)
-
-    @cached_property
-    def transversal(self) -> Transversal:
-        """One table row per index carrying its orbit's base to it; see _transversal."""
-        return _transversal(self)
+    def orbits(self) -> Orbits:
+        """Orbit bases, transversal rows and column counts; see _orbits."""
+        return _orbits(self)
 
     @cached_property
     def base_rows(self) -> dict[Partition, dict[int, list[int]]]:
@@ -106,97 +103,87 @@ class ActionSpace:
         return {}
 
 
-def _group_table(space: ActionSpace) -> tuple[array, tuple[ClassSlice, ...]]:
-    """Index permutations of all of S_n, row after row in one flat array.
+def _cayley_graph(n: int) -> tuple[list, dict, list]:
+    """S_n in breadth-first order from the identity, stepping sigma -> g o sigma.
 
-    Rows are ordered by cycle type, and each class's slice [start, stop) is
-    returned with the table, so table[start + i:stop:dim] lists rho(sigma)[i]
-    over the sigma of that class.  The rows are filled by breadth-first search
-    from the identity, stepping from sigma to sigma o g for each generator g
-    and composing rho(sigma o g)[i] = rho(sigma)[rho(g)[i]].  Every edge of the
-    search is checked, so the table is a homomorphism of S_n; each class
-    representative's row is then checked against act.
+    Returns the elements' images, their positions, and per generator g the
+    position of g o sigma at each position of sigma.  Raises unless the
+    generators reach all n! elements.
     """
-    n, dim = space.n, space.dim
-    by_class: dict[Partition, list[tuple[int, ...]]] = {mu: [] for mu in partitions(n)}
-    for sigma in all_permutations(n):
-        by_class[cycle_type(sigma)].append(sigma.images)
-    position: dict[tuple[int, ...], int] = {}
-    slices = []
-    for mu, members in by_class.items():
-        start = len(position) * dim
-        for sigma in members:
-            position[sigma] = len(position)
-        slices.append((mu, start, len(position) * dim))
-    typecode = "H" if dim <= 1 << 16 else "L"
-    table = array(typecode, [0]) * (len(position) * dim)
-    seen = bytearray(len(position))
-
-    def row(sigma: tuple[int, ...]) -> slice:
-        k = position[sigma] * dim
-        return slice(k, k + dim)
-
-    # itemgetter(*move)(rho) is rho o move; with dim <= 1 the only move is the identity
-    steps = [(g.images, itemgetter(*move) if dim > 1 else tuple)
-             for g, move in zip(generators(n), space.generator_moves)]
-    identity = tuple(range(n))
-    table[row(identity)] = array(typecode, range(dim))
-    seen[position[identity]] = 1
-    queue = deque([identity])
-    while queue:
-        sigma = queue.popleft()
-        rho = table[row(sigma)]
-        for g, after in steps:
-            tau = tuple(sigma[x] for x in g)
-            image = array(typecode, after(rho))
-            if not seen[position[tau]]:
-                seen[position[tau]] = 1
-                table[row(tau)] = image
-                queue.append(tau)
-            elif table[row(tau)] != image:
-                raise ValueError(f"action {space.name!r} is not a homomorphism of S_{n}")
-    if sum(seen) != len(seen):
+    gens = [g.images for g in generators(n)]
+    elements = [tuple(range(n))]
+    position = {elements[0]: 0}
+    steps: list[list[int]] = [[] for _ in gens]
+    for sigma in elements:  # elements grows while it is read: a queue
+        for g, step in zip(gens, steps):
+            tau = tuple(map(g.__getitem__, sigma))
+            if tau not in position:
+                position[tau] = len(elements)
+                elements.append(tau)
+            step.append(position[tau])
+    if len(elements) != factorial(n):
         raise ValueError(
-            f"the generators reached {sum(seen)} of the {len(seen)} permutations of S_{n}"
+            f"the generators reached {len(elements)} of the {factorial(n)} permutations of S_{n}"
         )
-    for mu, move in space.class_moves.items():
-        if tuple(table[row(class_representative(mu).images)]) != move:
-            raise ValueError(
-                f"action {space.name!r}: the group table disagrees with act on class {mu}"
-            )
-    return table, tuple(slices)
+    return elements, position, steps
 
 
-def _transversal(space: ActionSpace) -> Transversal:
-    """A transversal of every orbit of the action, read off the group table.
+def _orbits(space: ActionSpace) -> Orbits:
+    """The orbits in index order, each by two breadth-first searches from its least index b.
 
-    The orbits are taken in index order, each based at its least index b.
-    Column b of the table lists rho(sigma)[b] over all sigma, so one pass over
-    it maps each index of b's orbit to the offset of a row that carries b
-    there.  The result is checked by _check_transversal.
+    The column search walks _cayley_graph and keeps only f(sigma) =
+    rho(sigma)[b], using f(g o sigma) = rho(g)[f(sigma)].  Every edge is
+    checked, so f is a function on S_n with f(w) = rho(w)[b] for every word w
+    in the generators.  Two words equal in S_n therefore move each index
+    rho(w_i)[b] of the orbit alike: the generator moves define a
+    homomorphism.  The orbit search walks the indices from b and composes the
+    row rho(g_i) of one transversal element per index.  Each class
+    representative r is then checked against act at every index i as
+    rho(r)[i] = f(r o g_i).
     """
-    table, dim = space.group_table[0], space.dim
-    base = [-1] * dim
-    offset = [0] * dim
+    n, dim, moves = space.n, space.dim, space.generator_moves
+    elements, position, steps = _cayley_graph(n)
+    classes = [cycle_type(Permutation(sigma)) for sigma in elements]
+    reps = [(mu, class_representative(mu).images, move) for mu, move in space.class_moves.items()]
+    bases, rows, counts = [-1] * dim, [()] * dim, {}
     for b in range(dim):
-        if base[b] >= 0:
+        if bases[b] >= 0:
             continue
-        for i, row in dict(zip(table[b::dim], range(0, len(table), dim))).items():
-            base[i], offset[i] = b, row
-    transversal = (tuple(base), tuple(offset))
-    _check_transversal(space, transversal)
-    return transversal
+        column = [b] + [-1] * (len(elements) - 1)
+        for p, x in enumerate(column):  # column[p] was set from an earlier position
+            for step, move in zip(steps, moves):
+                q, y = step[p], move[x]
+                if column[q] < 0:
+                    column[q] = y
+                elif column[q] != y:
+                    raise ValueError(f"action {space.name!r} is not a homomorphism of S_{n}")
+        counts[b] = Counter(zip(classes, column))
+        bases[b], rows[b] = b, tuple(range(dim))
+        orbit, where = [b], {b: 0}  # where[i]: the position of g_i
+        for i in orbit:
+            for step, move in zip(steps, moves):
+                j = move[i]
+                if bases[j] < 0:  # j != b, so dim > 1 and itemgetter gives a tuple
+                    bases[j], rows[j] = b, itemgetter(*rows[i])(move)
+                    where[j] = step[where[i]]
+                    orbit.append(j)
+        for i in orbit:
+            for mu, r, move in reps:
+                if column[position[tuple(map(r.__getitem__, elements[where[i]]))]] != move[i]:
+                    raise ValueError(f"action {space.name!r}: the generated action "
+                                     f"disagrees with act on class {mu}")
+    _check_transversal(space, bases, rows)
+    return Orbits(tuple(bases), tuple(rows), counts)
 
 
-def _check_transversal(space: ActionSpace, transversal: Transversal) -> None:
+def _check_transversal(space: ActionSpace, bases: Sequence[int],
+                       rows: Sequence[Sequence[int]]) -> None:
     """Raise ValueError unless the row of each index i sends i's base to i."""
-    table, dim = space.group_table[0], space.dim
-    bases, offsets = transversal
-    if len(bases) != dim or len(offsets) != dim:
+    dim = space.dim
+    if len(bases) != dim or len(rows) != dim:
         raise ValueError(f"action {space.name!r}: a transversal needs {dim} bases and rows")
-    for i, (b, row) in enumerate(zip(bases, offsets)):
-        if not (0 <= b < dim and row % dim == 0 and 0 <= row < len(table)
-                and table[row + b] == i):
+    for i, (b, row) in enumerate(zip(bases, rows)):
+        if not (0 <= b < dim and len(row) == dim and row[b] == i):
             raise ValueError(
                 f"action {space.name!r}: the transversal row for index {i} "
                 f"does not send its base {b} to it"
@@ -277,23 +264,20 @@ def _base_rows(space: ActionSpace, lam: Partition, limit: int | None) -> dict[in
 
     Row b of the sum over sigma of chi_lam(sigma) * rho(sigma) has at column
     k the sum of chi_lam over the sigma with rho(sigma)[b] == k (chi(sigma) =
-    chi(sigma^-1)): one count per class over column b of the table.  The rows
-    are cached on the space per partition, O(orbits * dim) integers each.
+    chi(sigma^-1)): a sum of the per-class counts over column b, weighted by
+    chi_lam.  The rows are cached on the space per partition.
     """
     if lam.n != space.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
     _check_degree(space.n, limit)
     rows = space.base_rows.get(lam)
     if rows is None:
-        (table, slices), dim = space.group_table, space.dim
-        weighted = [(irreducible_character(lam, mu), start, stop) for mu, start, stop in slices]
+        weight = {mu: irreducible_character(lam, mu) for mu in partitions(space.n)}
         rows = {}
-        for b in sorted(set(space.transversal[0])):
-            row = rows[b] = [0] * dim
-            for weight, start, stop in weighted:
-                if weight:
-                    for k, count in Counter(table[start + b:stop:dim]).items():
-                        row[k] += weight * count
+        for b, counts in space.orbits.counts.items():
+            row = rows[b] = [0] * space.dim
+            for (mu, k), count in counts.items():
+                row[k] += weight[mu] * count
         space.base_rows[lam] = rows
     return rows
 
@@ -307,12 +291,12 @@ def isotypic_projector(space: ActionSpace, lam: Partition, limit: int | None = N
     row permuted by rho(g).
     """
     rows = _base_rows(space, lam, limit)
-    table, dim = space.group_table[0], space.dim
+    orbits, dim = space.orbits, space.dim
     factor = Fraction(specht_dimension(lam), factorial(space.n))
     out = []
-    for b, offset in zip(*space.transversal):
+    for b, move in zip(orbits.bases, orbits.rows):
         row = [0] * dim
-        for j, x in zip(table[offset:offset + dim], rows[b]):
+        for j, x in zip(move, rows[b]):
             row[j] = x
         out.append(tuple(factor * x for x in row))
     return tuple(out)
@@ -330,13 +314,13 @@ def project_vector(v: Sequence, space: ActionSpace, lam: Partition,
     if len(v) != space.dim:
         raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
     rows = _base_rows(space, lam, limit)
-    table, dim = space.group_table[0], space.dim
+    orbits = space.orbits
     nums, den = la._scaled_ints(v)
     pick = nums.__getitem__
     scale, den = specht_dimension(lam), factorial(space.n) * den
     return tuple(
-        Fraction(scale * sum(map(mul, rows[b], map(pick, table[offset:offset + dim]))), den)
-        for b, offset in zip(*space.transversal)
+        Fraction(scale * sum(map(mul, rows[b], map(pick, move))), den)
+        for b, move in zip(orbits.bases, orbits.rows)
     )
 
 

@@ -262,25 +262,37 @@ def _regular24(kind: str, params: tuple[Fraction, ...], name: str) -> ScoringMat
 
 
 def _distance5(weights: tuple[Fraction, ...], name: str) -> ScoringMatrix:
-    space = build_ballot_space("cyclic", 5, "paper")
-    entries = tuple(
-        tuple(weights[transposition_distance(g, h)] for g in space) for h in space
-    )
-    return ScoringMatrix(name, space, space, entries)
+    return _co5_rule(name, lambda g, h: weights[transposition_distance(g, h)])
 
 
 def _adjusted_distance5() -> ScoringMatrix:
     """The sum-zero distance rule with both step-relation orbits zeroed out."""
-    base = _distance5(tuple(Fraction(v) for v in (2, 1, 0, -1, -2)), "adjusted_distance5")
-    space = base.ballot_space
-    entries = tuple(
-        tuple(
-            Fraction(0) if classify_pair(h, g).tag in ("Step", "StepReversal") else base.entries[hi][gi]
-            for gi, g in enumerate(space)
-        )
-        for hi, h in enumerate(space)
-    )
-    return ScoringMatrix("adjusted_distance5", space, space, entries)
+    weights = tuple(Fraction(v) for v in (2, 1, 0, -1, -2))
+    return _co5_rule("adjusted_distance5", lambda g, h: (
+        Fraction(0) if classify_pair(h, g).tag in ("Step", "StepReversal")
+        else weights[transposition_distance(g, h)]))
+
+
+def _co5_rule(name: str, score) -> ScoringMatrix:
+    """The rule on 5-item cyclic orders scoring ballot g for outcome h as score(g, h).
+
+    score is called on the first outcome's row only: the outcomes form one
+    orbit, so every orbit of cells meets that row, and the other rows are
+    filled from the orbit ids.  Two cells of that row in one orbit must score
+    alike.
+    """
+    space = build_ballot_space("cyclic", 5, "paper")
+    ids, count = _pair_orbits(space, space)
+    n = len(space)
+    values: list[Fraction | None] = [None] * count
+    for g, oid in zip(space, ids[:n]):
+        value = score(g, space[0])
+        if values[oid] is None:
+            values[oid] = value
+        elif values[oid] != value:
+            raise ValueError(f"{name}: ballots in one orbit score {values[oid]} and {value}")
+    entries = tuple(tuple(values[ids[h * n + g]] for g in range(n)) for h in range(n))
+    return ScoringMatrix(name, space, space, entries)
 
 
 def parse_params(text: str) -> tuple[Fraction, ...]:

@@ -144,6 +144,24 @@ def rational_matrix(draw):
     return rows
 
 
+def test_vector_arithmetic_gives_fractions_for_any_rational_input():
+    half = Fraction(1, 2)
+    cases = [
+        (la.add((1, 2), (3, 4)), (4, 6)),
+        (la.sub((1, 2), (3, 4)), (-2, -2)),
+        (la.scale(3, (1, -2)), (3, -6)),
+        (la.add((1, half), (half, 2)), (Fraction(3, 2), Fraction(5, 2))),
+        (la.sub((half, 1), (1, half)), (-half, half)),
+        (la.scale(half, (3, Fraction(2, 3))), (Fraction(3, 2), Fraction(1, 3))),
+        (la.scale(2, (0.5, True)), (1, 2)),
+    ]
+    for got, want in cases:
+        assert type(got) is tuple and all(type(x) is Fraction for x in got), got
+        assert got == want
+    with pytest.raises(ValueError):
+        la.add((1, 2), (3,))
+
+
 @given(rational_matrix())
 @settings(max_examples=200)
 def test_rref_matches_fraction_oracle(rows):

@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from itertools import combinations
 from fractions import Fraction
 from math import factorial
 
@@ -21,6 +23,7 @@ from cyclevote.scoring import rule
 from cyclevote.symmetric_group import (
     ClassFunction,
     Partition,
+    Permutation,
     all_permutations,
     class_function,
     class_representative,
@@ -29,6 +32,7 @@ from cyclevote.symmetric_group import (
     identity,
     irreducible_character,
     partitions,
+    sign,
     specht_dimension,
 )
 from test_linalg import identity_matrix
@@ -243,8 +247,7 @@ def test_projector_on_a_space_with_several_orbits():
     # sizes 1, 6 and 24, based at indices 0, 1 and 7
     point = ActionSpace(1, 4, lambda s, i: i)
     space = _direct_sum(point, _fresh_action("cyclic", 4, "paper"), _fresh_action("trad", 4))
-    bases, _ = space.transversal
-    assert bases == (0,) + (1,) * 6 + (7,) * 24
+    assert space.orbits.bases == (0,) + (1,) * 6 + (7,) * 24
     v = _seeded_vector("several orbits", space.dim)
     acc = la.zeros(space.dim)
     for lam in partitions(4):
@@ -258,28 +261,175 @@ def test_projector_on_a_space_with_several_orbits():
 
 def test_transversal_rows_send_each_base_to_its_index():
     space = _fresh_action("rolo", 4, "paper")
-    table, dim = space.group_table[0], space.dim
-    bases, offsets = space.transversal
-    assert bases == (0,) * dim
-    assert all(table[row + b] == i for i, (b, row) in enumerate(zip(bases, offsets)))
-    representation._check_transversal(space, (bases, offsets))
+    bases, rows = space.orbits.bases, space.orbits.rows
+    assert bases == (0,) * space.dim
+    assert all(row[b] == i for i, (b, row) in enumerate(zip(bases, rows)))
+    representation._check_transversal(space, bases, rows)
 
 
-@pytest.mark.parametrize("spoil", ["swapped rows", "misaligned row", "wrong base", "short"])
+@pytest.mark.parametrize("spoil", ["swapped rows", "wrong base", "short"])
 def test_transversal_postcondition_is_checked(spoil):
     space = _fresh_action("cyclic", 4, "paper")
-    bases, offsets = space.transversal
+    bases, rows = space.orbits.bases, space.orbits.rows
     if spoil == "swapped rows":
-        offsets = (offsets[1], offsets[0]) + offsets[2:]
-    elif spoil == "misaligned row":  # holds 0 at the base's place, but starts mid-row
-        table, dim = space.group_table[0], space.dim
-        offsets = (next(p for p in range(len(table)) if p % dim and table[p] == 0),) + offsets[1:]
+        rows = (rows[1], rows[0]) + rows[2:]
     elif spoil == "wrong base":
         bases = (1,) + bases[1:]
     else:
-        bases, offsets = bases[:-1], offsets[:-1]
+        bases, rows = bases[:-1], rows[:-1]
     with pytest.raises(ValueError, match="transversal"):
-        representation._check_transversal(space, (bases, offsets))
+        representation._check_transversal(space, bases, rows)
+
+
+# -- the table search of all of S_n as the oracle for the orbit searches ----
+
+def _table_oracle(space):
+    """The index permutation of every element of S_n, keyed by its images.
+
+    Breadth-first from the identity, stepping from sigma to sigma o g and
+    composing rho(sigma o g)[i] = rho(sigma)[rho(g)[i]].  Every edge of the
+    search is checked, so the table is a homomorphism of S_n; each class
+    representative's row is then checked against act.
+    """
+    n = space.n
+    steps = [(g.images, move) for g, move in zip(generators(n), space.generator_moves)]
+    start = tuple(range(n))
+    table = {start: tuple(range(space.dim))}
+    queue = deque([start])
+    while queue:
+        sigma = queue.popleft()
+        rho = table[sigma]
+        for g, move in steps:
+            tau = tuple(sigma[x] for x in g)
+            image = tuple(rho[x] for x in move)
+            if tau not in table:
+                table[tau] = image
+                queue.append(tau)
+            elif table[tau] != image:
+                raise ValueError(f"action {space.name!r} is not a homomorphism of S_{n}")
+    if len(table) != factorial(n):
+        raise ValueError(
+            f"the generators reached {len(table)} of the {factorial(n)} permutations of S_{n}"
+        )
+    for mu, move in space.class_moves.items():
+        if table[class_representative(mu).images] != move:
+            raise ValueError(
+                f"action {space.name!r}: the group table disagrees with act on class {mu}"
+            )
+    return table
+
+
+def _oracle_space(name):
+    if name == "several orbits":
+        point = ActionSpace(1, 4, lambda s, i: i)
+        return _direct_sum(point, _fresh_action("cyclic", 4, "paper"), _fresh_action("trad", 4))
+    kind, n, ordering = name.split()
+    return _fresh_action(kind, int(n), ordering)
+
+
+@pytest.mark.parametrize("name", [
+    "cyclic 4 paper", "cyclic 5 paper", "cyclic 6 canonical", "rolo 4 paper",
+    "rolo 5 canonical", "rolo 6 canonical", "trad 4 canonical", "several orbits",
+])
+def test_orbits_match_the_table_oracle(name):
+    space = _oracle_space(name)
+    table = _table_oracle(space)
+    orbits = space.orbits
+    # the base of an orbit is its least index, and each row is the table row
+    # of some element carrying that base to the row's index
+    assert orbits.bases == tuple(min(row[i] for row in table.values()) for i in range(space.dim))
+    rows = set(table.values())
+    for i, (b, row) in enumerate(zip(orbits.bases, orbits.rows)):
+        assert row in rows and row[b] == i, i
+    classes = {sigma: cycle_type(Permutation(sigma)) for sigma in table}
+    for lam in partitions(space.n):
+        expected = {b: [0] * space.dim for b in set(orbits.bases)}
+        for sigma, row in table.items():
+            for b, base_row in expected.items():
+                base_row[row[b]] += irreducible_character(lam, classes[sigma])
+        assert representation._base_rows(space, lam, None) == expected, lam
+
+
+def _relabelled_action(rng, n):
+    """The moves of a genuine action of S_n on at most 6 points, in random index order.
+
+    Each orbit is S_n acting on one point, on the labels, on two points by
+    sign, on unordered pairs of labels or, for n=4, on the three pairings of
+    the labels into two pairs.
+    """
+    kinds = {
+        "point": ([0], lambda s, x: x),
+        "labels": (list(range(n)), lambda s, x: s(x)),
+        "sign": ([0, 1], lambda s, x: x ^ (sign(s) < 0)),
+        "pairs": ([frozenset(p) for p in combinations(range(n), 2)],
+                  lambda s, x: frozenset(map(s, x))),
+    }
+    if n == 4:
+        kinds["pairings"] = ([frozenset({frozenset({0, k}), frozenset(set(range(1, 4)) - {k})})
+                              for k in (1, 2, 3)],
+                             lambda s, x: frozenset(frozenset(map(s, p)) for p in x))
+    points, acts = [], {}
+    for kind in rng.sample(sorted(kinds), rng.randint(1, len(kinds))):
+        objects, act = kinds[kind]
+        if len(points) + len(objects) <= 6:
+            points += [(kind, x) for x in objects]
+            acts[kind] = act
+    rng.shuffle(points)
+    index = {p: i for i, p in enumerate(points)}
+    elements = {g.images: g for g in generators(n)}
+    elements.update((class_representative(mu).images, class_representative(mu))
+                    for mu in partitions(n))
+    return {images: tuple(index[kind, acts[kind](sigma, x)] for kind, x in points)
+            for images, sigma in elements.items()}
+
+
+def test_orbit_searches_accept_exactly_the_actions_the_table_accepts():
+    rng = random.Random(20230417)
+    verdicts = []
+    for draw in range(1500):
+        n = rng.choice((3, 4))
+        moves = _relabelled_action(rng, n)
+        dim = len(next(iter(moves.values())))
+        if rng.random() < 0.7:  # spoil one move with a random map of the indices
+            spoilt = rng.choice(sorted(moves))
+            if rng.random() < 0.9:
+                moves[spoilt] = tuple(rng.sample(range(dim), dim))
+            else:
+                moves[spoilt] = tuple(rng.randrange(dim) for _ in range(dim))
+
+        def act(sigma, i, moves=moves):
+            return moves[sigma.images][i]
+
+        accepted = []
+        for search in (_table_oracle, representation._orbits):
+            try:
+                search(ActionSpace(dim, n, act, f"draw {draw}"))
+                accepted.append(True)
+            except ValueError:
+                accepted.append(False)
+        assert accepted[0] == accepted[1], (draw, moves)
+        verdicts.append(accepted[0])
+    assert 300 < sum(verdicts) < 1200
+
+
+def _moved(v, move):
+    """rho(g) v for the index permutation move of g: entry j goes to move[j]."""
+    out = [None] * len(v)
+    for j, x in zip(move, v):
+        out[j] = x
+    return tuple(out)
+
+
+def test_cyclic_n7_components_sum_back_and_commute_with_the_generators():
+    space = _fresh_action("cyclic", 7)
+    v = _seeded_vector("cyclic 7", space.dim)
+    acc = la.zeros(space.dim)
+    for lam in partitions(7):
+        component = project_vector(v, space, lam)
+        acc = la.add(acc, component)
+        for move in space.generator_moves:
+            assert project_vector(_moved(v, move), space, lam) == _moved(component, move), lam
+    assert acc == la.vec(v)
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "rolo"])
@@ -336,18 +486,6 @@ def test_equivariance_check_matches_dense_commutator():
     assert not is_equivariant_matrix(space, candidates[-1])
 
 
-def test_group_table_layout():
-    space = _fresh_action("cyclic", 5, "paper")
-    table, slices = space.group_table
-    assert len(table) == factorial(5) * space.dim
-    assert [mu for mu, _, _ in slices] == list(partitions(5))
-    assert slices[0][1] == 0 and slices[-1][2] == len(table)
-    for mu, start, stop in slices:
-        rows = {tuple(table[k:k + space.dim]) for k in range(start, stop, space.dim)}
-        assert tuple(space.moves(class_representative(mu))) in rows
-        assert len(rows) == (stop - start) // space.dim
-
-
 # -- validation of the action ----------------------------------------------
 
 def test_action_must_permute_the_indices():
@@ -368,7 +506,7 @@ def test_action_must_be_a_homomorphism():
         isotypic_projector(swap, Partition((3,)))
 
 
-def test_group_table_checked_against_act_on_class_representatives():
+def test_action_checked_against_act_on_class_representatives():
     base = co_space(4)
     odd = class_representative(Partition((2, 2)))
     liar = ActionSpace(base.dim, 4, lambda s, i: i if s == odd else base.act(s, i), "liar")

@@ -2,8 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import cyclevote.scoring as scoring
 from cyclevote.ballots import build_ballot_space
-from cyclevote.cyclic_orders import parse_order, reverse_order
+from cyclevote.cyclic_orders import (
+    classify_pair,
+    parse_order,
+    reverse_order,
+    transposition_distance,
+)
 from cyclevote.scoring import (
     RuleParams,
     SeedConflictError,
@@ -82,6 +88,55 @@ def test_adjusted_rule_equals_orbit_parameters():
     assert rule("adjusted_distance5").entries == rule(
         "generic5", 2, -2, 1, -1, 0, 0, 0, 0
     ).entries
+
+
+def _dense_distance_rule(weights, zero_steps=False):
+    """Every cell scored directly: one distance (and pair class) per cell."""
+    space = build_ballot_space("cyclic", 5, "paper")
+    return tuple(
+        tuple(
+            Fraction(0) if zero_steps and classify_pair(h, g).tag in ("Step", "StepReversal")
+            else Fraction(weights[transposition_distance(g, h)])
+            for g in space
+        )
+        for h in space
+    )
+
+
+@pytest.mark.parametrize("weights", [(4, 3, 2, 1, 0), (0, 1, 2, 3, 4), (1, 1, 1, 1, 1),
+                                     (Fraction(1, 2), -7, 0, 3, Fraction(-5, 3))])
+def test_distance_rule_matches_cellwise_oracle(weights):
+    assert rule("distance5", *weights).entries == _dense_distance_rule(weights)
+
+
+def test_adjusted_distance_rule_matches_cellwise_oracle():
+    assert rule("adjusted_distance5").entries == _dense_distance_rule((2, 1, 0, -1, -2), True)
+
+
+def test_distance_rules_score_only_the_base_row(monkeypatch):
+    calls = []
+
+    def counted(g, h):
+        calls.append(h)
+        return transposition_distance(g, h)
+
+    monkeypatch.setattr(scoring, "transposition_distance", counted)
+    rule("distance5", 4, 3, 2, 1, 0)
+    base = build_ballot_space("cyclic", 5, "paper")[0]
+    assert len(calls) == 24 and set(calls) == {base}
+
+
+def test_distance_rules_reject_a_score_that_is_not_neutral(monkeypatch):
+    # one ballot at distance 1 from the base outcome scores apart from the
+    # other four of its orbit in that row
+    spoilt = parse_order("(ABDCE)")
+    assert build_ballot_space("cyclic", 5, "paper")[0] == parse_order("(ABCDE)")
+    monkeypatch.setattr(scoring, "transposition_distance",
+                        lambda g, h: 3 if g == spoilt else transposition_distance(g, h))
+    with pytest.raises(ValueError, match=r"^distance5\(4,3,2,1,0\): ballots in one orbit"):
+        rule("distance5", 4, 3, 2, 1, 0)
+    with pytest.raises(ValueError, match="^adjusted_distance5: ballots in one orbit score"):
+        rule("adjusted_distance5")
 
 
 def test_reference_scores():
