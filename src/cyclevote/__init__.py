@@ -32,7 +32,6 @@ from .ballots import (
 )
 from .cyclic_orders import (
     CyclicOrder,
-    OrderingTable,
     act_on_order,
     canonicalize,
     classify_pair,

@@ -18,10 +18,10 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import _linalg as la
-from .ballots import BallotSpace, favorite_order
+from .ballots import BallotSpace, default_ordering, favorite_order
 from .cyclic_orders import CyclicOrder, reverse_order
 from .scoring import ScoringMatrix, format_rational
-from .symmetric_group import Partition, Permutation, inverse
+from .symmetric_group import Partition, Permutation
 
 
 class MaskingInfeasibleError(ValueError):
@@ -53,13 +53,10 @@ def profile(space: BallotSpace, weights: Iterable) -> Profile:
 
 
 def act_on_profile(sigma: Permutation, p: Profile) -> Profile:
-    """Relabelled profile: the new weight of x is the old weight of sigma^-1 x."""
-    inv = inverse(sigma)
-    space = p.space
-    return Profile(
-        space,
-        tuple(p.weights[space.act_index(inv, i)] for i in range(len(space))),
-    )
+    """Relabelled profile: the weight of index i moves to index sigma(i)."""
+    move = p.space.action.moves(sigma)
+    # move is a permutation, so sorting by it never compares two weights
+    return Profile(p.space, tuple(w for _, w in sorted(zip(move, p.weights))))
 
 
 def parse_profile(text: str, space: BallotSpace) -> Profile:
@@ -280,7 +277,18 @@ def subspace_catalog(space_id: str) -> SubspaceCatalog:
 
 
 def catalog_for_space(space: BallotSpace) -> SubspaceCatalog:
+    """The catalog of space, which must be in its default ordering.
+
+    Each catalog is written in the default ordering of its space, so the
+    vectors mean nothing in any other enumeration.
+    """
     space_id = f"{space.kind.replace('cyclic', 'co')}{space.n}"
+    expected = default_ordering(space.kind, space.n)
+    if space.ordering != expected:
+        raise ValueError(
+            f"the {space_id} catalog is written in the {expected!r} ordering, "
+            f"not {space.ordering!r}"
+        )
     return subspace_catalog(space_id)
 
 

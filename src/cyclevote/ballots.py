@@ -7,11 +7,13 @@ W"; there are 24, because naming one opposite pair also fixes the other, so
 AB-DA and CD-DA denote the same ballot.  Both kinds carry the relabelling
 action componentwise and, for n=4, determine a unique favourite cyclic order.
 
-A BallotSpace fixes the enumeration order of one ballot kind.  The "paper"
-ROLO order for n=4 lists, for each cyclic order of the reference enumeration,
-its four ballots together.  The TRAD enumeration is derived from it: the i-th
-TRAD ballot is sigma_i applied to AB-DA, where sigma_i maps A|D,C to the i-th
-ROLO ballot, so the two spaces act identically index-by-index.
+A BallotSpace fixes the enumeration order of one ballot kind; it is the one
+indexed enumeration of the package, and default_ordering names each space's
+default.  The "paper" ROLO order for n=4 lists, for each cyclic order of the
+reference enumeration, its four ballots together.  The TRAD enumeration is
+derived from it: the i-th TRAD ballot is sigma_i applied to AB-DA, where
+sigma_i maps A|D,C to the i-th ROLO ballot, so the two spaces act identically
+index-by-index.
 """
 from __future__ import annotations
 
@@ -257,8 +259,7 @@ def build_ballot_space(kind: str, n: int, ordering: str = "canonical") -> Ballot
     ordering kind exists for (cyclic, 4), (cyclic, 5) and (rolo, 4).
     """
     if kind == "cyclic":
-        table = enumerate_orders(n, ordering)
-        return BallotSpace(kind, n, ordering, table.orders)
+        return BallotSpace(kind, n, ordering, enumerate_orders(n, ordering))
     if kind == "rolo":
         if n < 4:
             raise ValueError("ROLO ballots need n >= 4")
@@ -286,9 +287,20 @@ def build_ballot_space(kind: str, n: int, ordering: str = "canonical") -> Ballot
     raise ValueError(f"unknown ballot kind: {kind!r}")
 
 
+def default_ordering(kind: str, n: int) -> str:
+    """The ordering a space takes unless one is named: "paper" where the
+    reference enumeration exists (cyclic n in {4, 5}, ROLO n=4), else "canonical".
+
+    The invariant-subspace catalogs and the named rule families are written
+    in these orderings.
+    """
+    paper = (kind == "cyclic" and n in (4, 5)) or (kind == "rolo" and n == 4)
+    return "paper" if paper else "canonical"
+
+
 def outcome_space(n: int) -> BallotSpace:
     """The cyclic-order outcome space in its default enumeration."""
-    return build_ballot_space("cyclic", n, "paper" if n in (4, 5) else "canonical")
+    return build_ballot_space("cyclic", n, default_ordering("cyclic", n))
 
 
 def action_space(space: BallotSpace) -> ActionSpace:

@@ -28,19 +28,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_ordering(n: int) -> str:
-    return "paper" if n in (4, 5) else "canonical"
-
-
-def _default_ballot_ordering(kind: str, n: int) -> str:
-    if kind == "cyclic":
-        return _default_ordering(n)
-    return "paper" if (kind == "rolo" and n == 4) else "canonical"
-
-
 def _check_degree_cap(n: int, args) -> None:
     if n > args.max_n:
         raise ValueError(f"n={n} exceeds --max-n {args.max_n}")
+
+
+def _space(kind: str, n: int, ordering: str | None) -> ballots.BallotSpace:
+    """The ballot space in the named ordering, else in its default one."""
+    return ballots.build_ballot_space(kind, n, ordering or ballots.default_ordering(kind, n))
 
 
 def _rule(args) -> scoring.ScoringMatrix:
@@ -49,8 +44,7 @@ def _rule(args) -> scoring.ScoringMatrix:
         if not args.seeds or not args.ballots:
             raise ValueError("orbit_seeds needs --seeds FILE and --ballots KIND")
         _check_degree_cap(args.n, args)
-        ordering = args.ordering or _default_ballot_ordering(args.ballots, args.n)
-        space = ballots.build_ballot_space(args.ballots, args.n, ordering)
+        space = _space(args.ballots, args.n, args.ordering)
         with open(args.seeds) as fh:
             seeds = scoring.parse_seed_file(fh.read(), space)
         return scoring.build_neutral_matrix(space, seeds, rule_name="orbit_seeds")
@@ -132,7 +126,7 @@ def build_parser() -> _Parser:
 
 def _cmd_orders(args) -> None:
     _check_degree_cap(args.n, args)
-    ordering = args.ordering or _default_ordering(args.n)
+    ordering = args.ordering or ballots.default_ordering("cyclic", args.n)
     for x in cyclic_orders.enumerate_orders(args.n, ordering):
         print(cyclic_orders.format_order(x))
 
@@ -141,7 +135,7 @@ def _space_for_character(args) -> ballots.BallotSpace:
     kind = "cyclic" if args.space == "co" else args.space
     if kind == "cyclic" and args.n < 3:
         raise ValueError("cyclic orders need n >= 3")
-    return ballots.build_ballot_space(kind, args.n, _default_ballot_ordering(kind, args.n))
+    return _space(kind, args.n, None)
 
 
 def _cmd_characters(args) -> None:
@@ -191,14 +185,11 @@ def _cmd_effective(args) -> None:
 
 def _cmd_project(args) -> None:
     _check_degree_cap(args.n, args)
-    ordering = args.ordering or _default_ballot_ordering(args.space, args.n)
-    space = ballots.build_ballot_space(args.space, args.n, ordering)
+    space = _space(args.space, args.n, args.ordering)
     with open(args.profile) as fh:
         p = analysis.parse_profile(fh.read(), space)
     lam = parse_partition(args.partition)
-    projected = representation.project_vector(
-        p.weights, ballots.action_space(space), lam, limit=args.max_n
-    )
+    projected = representation.project_vector(p.weights, ballots.action_space(space), lam)
     print(analysis.format_profile(analysis.Profile(space, projected)))
 
 

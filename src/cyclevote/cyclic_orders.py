@@ -5,16 +5,17 @@ the unique rotation whose sequence starts with label 0, so there are (n-1)!
 distinct values for each n.  Relabelling by a permutation is a left action.
 The module also provides the two enumeration orders used throughout (the
 "paper" reference order for n in {4, 5}, which lists reversal pairs together,
-and the lexicographic "canonical" order for any n), the fixed-order counting
-character of the relabelling action both in closed form and by brute force,
-transposition distance on the set of cyclic orders, and orbit classification
-of ordered pairs under simultaneous relabelling.
+and the lexicographic "canonical" order for any n) as plain sequences, which
+ballots.BallotSpace indexes, the fixed-order counting character of the
+relabelling action both in closed form and by brute force, transposition
+distance on the set of cyclic orders, and orbit classification of ordered
+pairs under simultaneous relabelling.
 """
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _words
 from math import factorial
@@ -117,33 +118,8 @@ def reverse_order(x: CyclicOrder) -> CyclicOrder:
     return canonicalize(tuple(reversed(x.seq)))
 
 
-@dataclass(frozen=True)
-class OrderingTable:
-    """An indexed enumeration of all cyclic orders for one n."""
-
-    n: int
-    kind: str
-    orders: tuple[CyclicOrder, ...]
-    _index: dict[CyclicOrder, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.orders)})
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-    def __iter__(self):
-        return iter(self.orders)
-
-    def __getitem__(self, i: int) -> CyclicOrder:
-        return self.orders[i]
-
-    def index_of(self, x: CyclicOrder) -> int:
-        return self._index[x]
-
-
 @lru_cache(maxsize=None)
-def enumerate_orders(n: int, kind: str = "canonical") -> OrderingTable:
+def enumerate_orders(n: int, kind: str = "canonical") -> tuple[CyclicOrder, ...]:
     """All (n-1)! cyclic orders, in the requested enumeration order."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -154,11 +130,10 @@ def enumerate_orders(n: int, kind: str = "canonical") -> OrderingTable:
             words = PAPER_ORDER_5
         else:
             raise ValueError(f"no paper ordering for n={n}; use canonical")
-        return OrderingTable(n, kind, tuple(parse_order(w) for w in words))
+        return tuple(parse_order(w) for w in words)
     if kind != "canonical":
         raise ValueError(f"unknown ordering kind: {kind!r}")
-    orders = tuple(CyclicOrder((0, *rest)) for rest in _words(range(1, n)))
-    return OrderingTable(n, kind, orders)
+    return tuple(CyclicOrder((0, *rest)) for rest in _words(range(1, n)))
 
 
 def count_fixed_orders(sigma: Permutation) -> int:
@@ -319,9 +294,3 @@ def classify_pair(x: CyclicOrder, y: CyclicOrder) -> PairClass:
     if tag is None:
         tag = f"{rep[0]}~{rep[1]}"
     return PairClass(tag, rep)
-
-
-def pair_orbit_count(n: int) -> int:
-    """Number of diagonal orbits on ordered pairs of cyclic orders."""
-    table = enumerate_orders(n)
-    return len({_pair_representative(table[0], y) for y in table})

@@ -190,12 +190,6 @@ def _check_transversal(space: ActionSpace, bases: Sequence[int],
             )
 
 
-def _check_degree(n: int, limit: int | None = None) -> None:
-    cap = GROUP_SUM_LIMIT if limit is None else limit
-    if n > cap:
-        raise ValueError(f"degree {n} exceeds the group-sum cap {cap}")
-
-
 def character_inner_product(c1: ClassFunction, c2: ClassFunction) -> Fraction:
     """(1/n!) sum over classes of class_size * c1 * c2 (no conjugation needed)."""
     if c1.n != c2.n:
@@ -259,7 +253,7 @@ def decompose_character(chi: ClassFunction) -> DecompositionReport:
     return report
 
 
-def _base_rows(space: ActionSpace, lam: Partition, limit: int | None) -> dict[int, list[int]]:
+def _base_rows(space: ActionSpace, lam: Partition) -> dict[int, list[int]]:
     """n!/dim lam times the projector row of each orbit base b, in integers.
 
     Row b of the sum over sigma of chi_lam(sigma) * rho(sigma) has at column
@@ -269,7 +263,8 @@ def _base_rows(space: ActionSpace, lam: Partition, limit: int | None) -> dict[in
     """
     if lam.n != space.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
-    _check_degree(space.n, limit)
+    if space.n > GROUP_SUM_LIMIT:
+        raise ValueError(f"degree {space.n} exceeds the group-sum cap {GROUP_SUM_LIMIT}")
     rows = space.base_rows.get(lam)
     if rows is None:
         weight = {mu: irreducible_character(lam, mu) for mu in partitions(space.n)}
@@ -282,7 +277,7 @@ def _base_rows(space: ActionSpace, lam: Partition, limit: int | None) -> dict[in
     return rows
 
 
-def isotypic_projector(space: ActionSpace, lam: Partition, limit: int | None = None) -> la.Matrix:
+def isotypic_projector(space: ActionSpace, lam: Partition) -> la.Matrix:
     """Exact projector onto the lam-isotypic component, by group averaging.
 
     P = (dim lam / n!) * sum over sigma of chi_lam(sigma) * rho(sigma).  P
@@ -290,7 +285,7 @@ def isotypic_projector(space: ActionSpace, lam: Partition, limit: int | None = N
     base b of i's orbit to i, P[i][rho(g)[k]] = P[b][k]: row i is the base
     row permuted by rho(g).
     """
-    rows = _base_rows(space, lam, limit)
+    rows = _base_rows(space, lam)
     orbits, dim = space.orbits, space.dim
     factor = Fraction(specht_dimension(lam), factorial(space.n))
     out = []
@@ -302,8 +297,7 @@ def isotypic_projector(space: ActionSpace, lam: Partition, limit: int | None = N
     return tuple(out)
 
 
-def project_vector(v: Sequence, space: ActionSpace, lam: Partition,
-                   limit: int | None = None) -> la.Vector:
+def project_vector(v: Sequence, space: ActionSpace, lam: Partition) -> la.Vector:
     """Component of v in the lam-isotypic part; components over all lam sum to v.
 
     With w = D*v in integers (D the lcm of v's denominators) and g, b as in
@@ -313,7 +307,7 @@ def project_vector(v: Sequence, space: ActionSpace, lam: Partition,
     """
     if len(v) != space.dim:
         raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
-    rows = _base_rows(space, lam, limit)
+    rows = _base_rows(space, lam)
     orbits = space.orbits
     nums, den = la._scaled_ints(v)
     pick = nums.__getitem__
@@ -324,10 +318,16 @@ def project_vector(v: Sequence, space: ActionSpace, lam: Partition,
     )
 
 
-def is_equivariant_matrix(space: ActionSpace, matrix: Sequence[Sequence]) -> bool:
-    """True when matrix[rho(i)][rho(j)] == matrix[i][j] for each generator move rho."""
-    indices = range(space.dim)
+def is_equivariant_matrix(space: ActionSpace, matrix: Sequence[Sequence],
+                          columns: ActionSpace | None = None) -> bool:
+    """True when matrix[rho(i)][tau(j)] == matrix[i][j] for each generator g.
+
+    rho(g) is the move of g on space, which indexes the rows, and tau(g) its
+    move on columns (space when None), which index the columns.  Checking the
+    generators suffices, since they generate S_n.
+    """
+    pairs = zip(space.generator_moves, (columns or space).generator_moves)
     return all(
-        matrix[move[i]][move[j]] == matrix[i][j]
-        for move in space.generator_moves for i in indices for j in indices
+        matrix[rho[i]][tau[j]] == x
+        for rho, tau in pairs for i, row in enumerate(matrix) for j, x in enumerate(row)
     )

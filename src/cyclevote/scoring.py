@@ -23,14 +23,24 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import _linalg as la
-from .ballots import Ballot, BallotSpace, action_space, build_ballot_space, outcome_space
+from .ballots import (
+    Ballot,
+    BallotSpace,
+    action_space,
+    build_ballot_space,
+    default_ordering,
+    outcome_space,
+)
 from .cyclic_orders import (
+    _PAIR_NAMES_4,
+    _PAIR_NAMES_5,
+    PAPER_ORDER_4,
     CyclicOrder,
     classify_pair,
     parse_order,
-    reverse_order,
     transposition_distance,
 )
+from .representation import is_equivariant_matrix
 
 
 class SeedConflictError(ValueError):
@@ -76,14 +86,8 @@ class ScoringMatrix:
 
     def is_neutral(self) -> bool:
         """Check entry[sh][sg] == entry[h][g] for a generating set, all cells."""
-        moves = zip(action_space(self.outcome_space).generator_moves,
-                    action_space(self.ballot_space).generator_moves)
-        return all(
-            self.entries[om[h]][bm[g]] == x
-            for om, bm in moves
-            for h, row in enumerate(self.entries)
-            for g, x in enumerate(row)
-        )
+        return is_equivariant_matrix(action_space(self.outcome_space), self.entries,
+                                     action_space(self.ballot_space))
 
 
 def format_rational(x: Fraction) -> str:
@@ -188,19 +192,8 @@ FAMILY_ARITY = {
     "adjusted_distance5": 0,
 }
 
-#: Outcomes of the reference enumeration that anchor the six ROLO parameters:
-#: the base ballot A|D,C scores (a, b, c, d, e, f) down the outcome column.
-_ROLO_ANCHOR_OUTCOMES = ("ACBD", "ADBC", "ABCD", "ADCB", "ABDC", "ACDB")
-
-#: Ballots of the 5-item reference enumeration that anchor the parameters
-#: a..h of the generic rule, all scored against the outcome (ABCDE).
-_CO5_ANCHOR_BALLOTS = (
-    "ABCDE", "AEDCB", "ABCED", "ADECB", "ABDEC", "ACEDB", "ACEBD", "ADBEC",
-)
-
-
 def named_rule(rp: RuleParams) -> ScoringMatrix:
-    """Instantiate a named rule family (reference orderings throughout)."""
+    """Instantiate a named rule family, every space in its default ordering."""
     arity = FAMILY_ARITY.get(rp.family)
     if arity is None:
         raise ValueError(f"unknown rule family: {rp.family!r}")
@@ -210,7 +203,7 @@ def named_rule(rp: RuleParams) -> ScoringMatrix:
     name = rp.family if not params else f"{rp.family}({','.join(map(str, params))})"
 
     if rp.family == "generic4":
-        return _generic4(params, name)
+        return _cyclic_generic(4, _PAIR_NAMES_4, params, name)
     if rp.family == "rolo_generic":
         return _regular24("rolo", params, name)
     if rp.family == "rolo_x1":
@@ -221,13 +214,7 @@ def named_rule(rp: RuleParams) -> ScoringMatrix:
     if rp.family == "trad21":
         return _regular24("trad", (2, 1, 1, 0, 0, 0), "trad21")
     if rp.family == "generic5":
-        space = build_ballot_space("cyclic", 5, "paper")
-        base = parse_order("ABCDE")
-        seeds = [
-            (space.parse(text), base, value)
-            for text, value in zip(_CO5_ANCHOR_BALLOTS, params)
-        ]
-        return build_neutral_matrix(space, seeds, space, name)
+        return _cyclic_generic(5, _PAIR_NAMES_5, params, name)
     if rp.family == "distance5":
         return _distance5(params, name)
     if rp.family == "adjusted_distance5":
@@ -240,24 +227,24 @@ def rule(family: str, *params) -> ScoringMatrix:
     return named_rule(RuleParams(family, tuple(Fraction(p) for p in params)))
 
 
-def _generic4(params: tuple[Fraction, ...], name: str) -> ScoringMatrix:
-    a, b, c = params
-    space = build_ballot_space("cyclic", 4, "paper")
-    entries = tuple(
-        tuple(a if g == h else b if g == reverse_order(h) else c for g in space)
-        for h in space
-    )
-    return ScoringMatrix(name, space, space, entries)
+def _cyclic_generic(n: int, pair_names, params: tuple[Fraction, ...], name: str) -> ScoringMatrix:
+    """The rule on n-item cyclic orders with one parameter per pair class.
+
+    pair_names lists (class, ballot) anchors with the "Same" class first: each
+    anchor ballot scores its parameter for the "Same" ballot as outcome, and
+    neutrality fills every other cell of its class.
+    """
+    space = outcome_space(n)
+    base = space.parse(pair_names[0][1])
+    seeds = [(space.parse(text), base, value) for (_, text), value in zip(pair_names, params)]
+    return build_neutral_matrix(space, seeds, space, name)
 
 
 def _regular24(kind: str, params: tuple[Fraction, ...], name: str) -> ScoringMatrix:
-    ordering = "paper" if kind == "rolo" else "canonical"
-    space = build_ballot_space(kind, 4, ordering)
+    """The space's first ballot scores the six parameters for the outcomes of PAPER_ORDER_4."""
+    space = build_ballot_space(kind, 4, default_ordering(kind, 4))
     base = space[0]
-    seeds = [
-        (base, parse_order(text), value)
-        for text, value in zip(_ROLO_ANCHOR_OUTCOMES, params)
-    ]
+    seeds = [(base, parse_order(text), value) for text, value in zip(PAPER_ORDER_4, params)]
     return build_neutral_matrix(space, seeds, None, name)
 
 
@@ -281,7 +268,7 @@ def _co5_rule(name: str, score) -> ScoringMatrix:
     filled from the orbit ids.  Two cells of that row in one orbit must score
     alike.
     """
-    space = build_ballot_space("cyclic", 5, "paper")
+    space = outcome_space(5)
     ids, count = _pair_orbits(space, space)
     n = len(space)
     values: list[Fraction | None] = [None] * count

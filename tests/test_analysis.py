@@ -552,6 +552,13 @@ def test_catalog_for_space():
     assert catalog_for_space(build_ballot_space("trad", 4)).space_id == "trad4"
 
 
+def test_catalog_for_space_needs_the_default_ordering():
+    # the catalogs are written in the paper orderings of these two spaces
+    for kind in ("cyclic", "rolo"):
+        with pytest.raises(ValueError, match="written in the 'paper' ordering"):
+            catalog_for_space(build_ballot_space(kind, 4, "canonical"))
+
+
 def test_tally_is_linear_and_scale_invariant():
     rnd = random.Random(5)
     m = rule("rolo21")

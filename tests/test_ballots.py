@@ -7,7 +7,9 @@ from cyclevote.ballots import (
     act_on_ballot,
     action_space,
     build_ballot_space,
+    default_ordering,
     favorite_order,
+    outcome_space,
     parse_ballot,
     trad_ballot,
 )
@@ -133,6 +135,24 @@ def test_ballot_space_identity_and_parse():
         space.parse("A|E,C")
     cyclic = build_ballot_space("cyclic", 4, "paper")
     assert [cyclic.label(b)[1:-1] for b in cyclic.ballots] == list(CO4_ORDER)
+
+
+def test_ballot_space_index_of():
+    for kind, n in (("canonical", 6), ("paper", 5)):
+        space = build_ballot_space("cyclic", n, kind)
+        assert space.ballots == enumerate_orders(n, kind)
+        assert [space.index_of(x) for x in space] == list(range(len(space)))
+    with pytest.raises(ValueError):
+        build_ballot_space("cyclic", 4).index_of(parse_order("(ABCDE)"))
+
+
+def test_default_ordering():
+    paper = {("cyclic", 4), ("cyclic", 5), ("rolo", 4)}
+    for kind in ("cyclic", "rolo", "trad"):
+        for n in range(3, 8):
+            expected = "paper" if (kind, n) in paper else "canonical"
+            assert default_ordering(kind, n) == expected
+    assert outcome_space(5) is build_ballot_space("cyclic", 5, "paper")
 
 
 def test_action_space_adapter():

@@ -128,6 +128,23 @@ def test_seeded_matrix(tmp_path, capsys):
     assert out == ref_out
 
 
+def test_scaling_needs_the_default_ordering(tmp_path, capsys):
+    seeds = {"cyclic": "(ACBD) (ACBD) 2\n(ADBC) (ACBD) 1\n", "rolo": "A|D,C (ACBD) 2\n"}
+    for kind, text in seeds.items():
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text)
+        argv = ["scaling", "--rule", "orbit_seeds", "--seeds", str(path),
+                "--ballots", kind, "--n", "4", "--ordering"]
+        code, out, err = run(capsys, *argv, "canonical")
+        assert (code, out) == (2, "")
+        assert err == ("error: the " + kind.replace("cyclic", "co") + "4 catalog is written "
+                       "in the 'paper' ordering, not 'canonical'\n")
+        code, out, err = run(capsys, *argv, "paper")
+        assert code == 0 and err == ""
+        if kind == "cyclic":
+            assert [line.split("\t")[3] for line in out.splitlines()[:3]] == ["3", "3", "1"]
+
+
 def test_duplicate_seed_warns_in_one_line(tmp_path):
     # in a fresh interpreter, where no test harness captures the warning
     seeds = tmp_path / "seeds.txt"
@@ -162,6 +179,12 @@ def test_data_error_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "orders", "--n", "6", "--ordering", "paper")
     assert code == 2
+    # --max-n caps the CLI's own enumerations; projections keep their own cap
+    one = tmp_path / "one.tsv"
+    one.write_text("(ABCDEFGH)\t1\n")
+    code, _, err = run(capsys, "--max-n", "8", "project", "--space", "cyclic", "--n", "8",
+                       "--partition", "8", "--profile", str(one))
+    assert code == 2 and err == "error: degree 8 exceeds the group-sum cap 7\n"
 
 
 def test_deterministic_output(capsys):

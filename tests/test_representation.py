@@ -172,13 +172,10 @@ def test_projected_components_sum_back():
 
 
 def test_degree_cap():
-    big = ActionSpace(dim=1, n=9, act=lambda s, i: i)
-    with pytest.raises(ValueError):
-        isotypic_projector(big, Partition((9,)))
-    # explicit limit overrides the default cap
-    small = ActionSpace(dim=1, n=2, act=lambda s, i: i)
-    with pytest.raises(ValueError):
-        isotypic_projector(small, Partition((2,)), limit=1)
+    for n in (8, 9):
+        big = ActionSpace(dim=1, n=n, act=lambda s, i: i)
+        with pytest.raises(ValueError, match=f"degree {n} exceeds the group-sum cap 7"):
+            isotypic_projector(big, Partition((n,)))
 
 
 def test_permutation_matrix_shape():
@@ -347,7 +344,7 @@ def test_orbits_match_the_table_oracle(name):
         for sigma, row in table.items():
             for b, base_row in expected.items():
                 base_row[row[b]] += irreducible_character(lam, classes[sigma])
-        assert representation._base_rows(space, lam, None) == expected, lam
+        assert representation._base_rows(space, lam) == expected, lam
 
 
 def _relabelled_action(rng, n):
