@@ -33,10 +33,6 @@ def vec(entries) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-def mat(rows) -> Matrix:
-    return tuple(vec(r) for r in rows)
-
-
 def zeros(n: int) -> Vector:
     return (Fraction(0),) * n
 

@@ -8,12 +8,14 @@ AB-DA and CD-DA denote the same ballot.  Both kinds carry the relabelling
 action componentwise and, for n=4, determine a unique favourite cyclic order.
 
 A BallotSpace fixes the enumeration order of one ballot kind; it is the one
-indexed enumeration of the package, and default_ordering names each space's
-default.  The "paper" ROLO order for n=4 lists, for each cyclic order of the
-reference enumeration, its four ballots together.  The TRAD enumeration is
-derived from it: the i-th TRAD ballot is sigma_i applied to AB-DA, where
-sigma_i maps A|D,C to the i-th ROLO ballot, so the two spaces act identically
-index-by-index.
+indexed enumeration of the package, and default_ordering names the ordering
+a space takes when none is named.  The "paper" ROLO order for n=4 lists, for
+each cyclic order of the reference enumeration, its four ballots together.
+The TRAD enumeration is derived from it: the i-th TRAD ballot is
+trad_ballot((C, X), (R, C)) for the i-th ROLO ballot C|R,L, with X = 6-C-R-L
+the fourth label.  That map commutes with relabelling, so the two spaces act
+identically index-by-index and each TRAD ballot shares its ROLO ballot's
+favourite order.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from itertools import permutations as _words
 from .cyclic_orders import (
     CyclicOrder,
     act_on_order,
+    canonicalize,
     enumerate_orders,
-    format_order,
     parse_order,
 )
 from .representation import ActionSpace
@@ -120,7 +122,9 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
     """The unique cyclic order consistent with all of b's constraints.
 
     Cyclic ballots are their own favourite.  For ROLO and TRAD the completion
-    is unique only for n=4.
+    is unique only for n=4: C|R,L gives (R C L X), X the fourth label, and
+    XY-ZW gives (Z W Z' W'), where Z' and W' are the opposite partners of Z
+    and W.  Labels that do not fit n=4 raise ValueError.
 
     >>> str(favorite_order(parse_ballot("A|D,C", "rolo")))
     '(ACBD)'
@@ -131,31 +135,23 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
         return b
     if n != 4:
         raise ValueError(f"favourite order is unique only for n=4, got n={n}")
-    return _completion(b)
-
-
-@lru_cache(maxsize=None)
-def _completion(b: Ballot) -> CyclicOrder:
-    """The one 4-item order consistent with b, found once per ballot."""
-    matches = [x for x in enumerate_orders(4) if _consistent(b, x)]
-    if len(matches) != 1:
-        raise ValueError(f"no unique completion for {b}")  # unreachable for valid ballots
-    return matches[0]
-
-
-def _successors(x: CyclicOrder) -> set[tuple[int, int]]:
-    return {(x.seq[i], x.seq[(i + 1) % x.n]) for i in range(x.n)}
-
-
-def _consistent(b: Ballot, x: CyclicOrder) -> bool:
-    succ = _successors(x)
     if isinstance(b, RoloBallot):
-        # right of the centre means immediately before it in the cycle
-        return (b.right, b.center) in succ and (b.center, b.left) in succ
-    if isinstance(b, TradBallot):
-        opposite = {(x.seq[i], x.seq[(i + 2) % 4]) for i in range(4)}
-        return tuple(b.opposite) in opposite and b.adjacency in succ
-    raise TypeError(f"not a partial ballot: {b!r}")
+        # R sits just before C and L just after; 0+1+2+3 = 6 gives the fourth label
+        seats = (b.right, b.center, b.left, 6 - b.center - b.right - b.left)
+    elif isinstance(b, TradBallot):
+        # the two opposite pairs split 0+1+2+3 = 6: a partner is its pair's sum minus it
+        pair = sum(b.opposite)
+        z, w = b.adjacency
+        if z in b.opposite:
+            seats = (z, w, pair - z, 6 - pair - w)
+        else:
+            seats = (z, w, 6 - pair - z, pair - w)
+    else:
+        raise TypeError(f"not a ballot: {b!r}")
+    try:
+        return canonicalize(seats)
+    except ValueError:
+        raise ValueError(f"{b} does not fit n=4") from None
 
 
 class BallotSpace:
@@ -209,7 +205,7 @@ class BallotSpace:
         )
 
     def label(self, b: Ballot) -> str:
-        return format_order(b) if isinstance(b, CyclicOrder) else str(b)
+        return str(b)
 
     def labels(self) -> list[str]:
         return [self.label(b) for b in self.ballots]
@@ -240,24 +236,21 @@ def parse_ballot(text: str, kind: str) -> Ballot:
     raise ValueError(f"unknown ballot kind: {kind!r}")
 
 
-def _mapping_permutation(src: RoloBallot, dst: RoloBallot) -> Permutation:
-    """The unique element of S_4 carrying one ROLO ballot to another."""
-    images = [None] * 4
-    for a, b in ((src.center, dst.center), (src.right, dst.right), (src.left, dst.left)):
-        images[a] = b
-    rest_src = ({0, 1, 2, 3} - {src.center, src.right, src.left}).pop()
-    rest_dst = ({0, 1, 2, 3} - {dst.center, dst.right, dst.left}).pop()
-    images[rest_src] = rest_dst
-    return Permutation(tuple(images))
+def build_ballot_space(kind: str, n: int, ordering: str | None = None) -> BallotSpace:
+    """The indexed ballot space, in default_ordering(kind, n) unless one is named.
+
+    kinds: "cyclic" (any n), "rolo" (n >= 4), "trad" (n=4 only).  The "paper"
+    ordering kind exists for (cyclic, 4), (cyclic, 5) and (rolo, 4).  Spaces
+    are cached on the resolved ordering, so every spelling of one space
+    returns one object, with one action.
+    """
+    if ordering is None:
+        ordering = default_ordering(kind, n)
+    return _build_space(kind, n, ordering)
 
 
 @lru_cache(maxsize=None)
-def build_ballot_space(kind: str, n: int, ordering: str = "canonical") -> BallotSpace:
-    """Construct an indexed ballot space.
-
-    kinds: "cyclic" (any n), "rolo" (n >= 4), "trad" (n=4 only).  The "paper"
-    ordering kind exists for (cyclic, 4), (cyclic, 5) and (rolo, 4).
-    """
+def _build_space(kind: str, n: int, ordering: str) -> BallotSpace:
     if kind == "cyclic":
         return BallotSpace(kind, n, ordering, enumerate_orders(n, ordering))
     if kind == "rolo":
@@ -278,10 +271,9 @@ def build_ballot_space(kind: str, n: int, ordering: str = "canonical") -> Ballot
             raise ValueError("TRAD ballots are defined for n=4 only")
         if ordering != "canonical":
             raise ValueError(f"no {ordering!r} ordering for (trad, 4)")
-        rolo = build_ballot_space("rolo", 4, "paper")
-        base = trad_ballot((0, 1), (3, 0))  # AB-DA, favourite (ACBD)
         ballots = tuple(
-            act_on_ballot(_mapping_permutation(rolo[0], b), base) for b in rolo
+            trad_ballot((b.center, 6 - b.center - b.right - b.left), (b.right, b.center))
+            for b in build_ballot_space("rolo", 4, "paper")
         )
         return BallotSpace(kind, n, ordering, ballots)
     raise ValueError(f"unknown ballot kind: {kind!r}")
@@ -300,7 +292,7 @@ def default_ordering(kind: str, n: int) -> str:
 
 def outcome_space(n: int) -> BallotSpace:
     """The cyclic-order outcome space in its default enumeration."""
-    return build_ballot_space("cyclic", n, default_ordering("cyclic", n))
+    return build_ballot_space("cyclic", n)
 
 
 def action_space(space: BallotSpace) -> ActionSpace:

@@ -33,18 +33,13 @@ def _check_degree_cap(n: int, args) -> None:
         raise ValueError(f"n={n} exceeds --max-n {args.max_n}")
 
 
-def _space(kind: str, n: int, ordering: str | None) -> ballots.BallotSpace:
-    """The ballot space in the named ordering, else in its default one."""
-    return ballots.build_ballot_space(kind, n, ordering or ballots.default_ordering(kind, n))
-
-
 def _rule(args) -> scoring.ScoringMatrix:
     params = scoring.parse_params(args.params or "")
     if args.rule == "orbit_seeds":
         if not args.seeds or not args.ballots:
             raise ValueError("orbit_seeds needs --seeds FILE and --ballots KIND")
         _check_degree_cap(args.n, args)
-        space = _space(args.ballots, args.n, args.ordering)
+        space = ballots.build_ballot_space(args.ballots, args.n, args.ordering)
         with open(args.seeds) as fh:
             seeds = scoring.parse_seed_file(fh.read(), space)
         return scoring.build_neutral_matrix(space, seeds, rule_name="orbit_seeds")
@@ -126,16 +121,15 @@ def build_parser() -> _Parser:
 
 def _cmd_orders(args) -> None:
     _check_degree_cap(args.n, args)
-    ordering = args.ordering or ballots.default_ordering("cyclic", args.n)
-    for x in cyclic_orders.enumerate_orders(args.n, ordering):
-        print(cyclic_orders.format_order(x))
+    for label in ballots.build_ballot_space("cyclic", args.n, args.ordering).labels():
+        print(label)
 
 
 def _space_for_character(args) -> ballots.BallotSpace:
     kind = "cyclic" if args.space == "co" else args.space
     if kind == "cyclic" and args.n < 3:
         raise ValueError("cyclic orders need n >= 3")
-    return _space(kind, args.n, None)
+    return ballots.build_ballot_space(kind, args.n)
 
 
 def _cmd_characters(args) -> None:
@@ -185,7 +179,7 @@ def _cmd_effective(args) -> None:
 
 def _cmd_project(args) -> None:
     _check_degree_cap(args.n, args)
-    space = _space(args.space, args.n, args.ordering)
+    space = ballots.build_ballot_space(args.space, args.n, args.ordering)
     with open(args.profile) as fh:
         p = analysis.parse_profile(fh.read(), space)
     lam = parse_partition(args.partition)

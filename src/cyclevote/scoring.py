@@ -28,13 +28,11 @@ from .ballots import (
     BallotSpace,
     action_space,
     build_ballot_space,
-    default_ordering,
     outcome_space,
 )
 from .cyclic_orders import (
     _PAIR_NAMES_4,
     _PAIR_NAMES_5,
-    PAPER_ORDER_4,
     CyclicOrder,
     classify_pair,
     parse_order,
@@ -181,45 +179,31 @@ class RuleParams:
     params: tuple[Fraction, ...] = ()
 
 
-FAMILY_ARITY = {
-    "generic4": 3,
-    "rolo_generic": 6,
-    "rolo_x1": 1,
-    "rolo21": 0,
-    "trad21": 0,
-    "generic5": 8,
-    "distance5": 5,
-    "adjusted_distance5": 0,
+#: family -> (arity, builder); each builder takes the parameters and the rule name.
+_FAMILIES = {
+    "generic4": (3, lambda p, name: _cyclic_generic(4, _PAIR_NAMES_4, p, name)),
+    "rolo_generic": (6, lambda p, name: _regular24("rolo", p, name)),
+    "rolo_x1": (1, lambda p, name: _regular24("rolo", (p[0], 0, 1, 0, 0, 1), name)),
+    "rolo21": (0, lambda p, name: _regular24("rolo", (2, 0, 1, 0, 0, 1), name)),
+    "trad21": (0, lambda p, name: _regular24("trad", (2, 1, 1, 0, 0, 0), name)),
+    "generic5": (8, lambda p, name: _cyclic_generic(5, _PAIR_NAMES_5, p, name)),
+    "distance5": (5, lambda p, name: _distance5(p, name)),
+    "adjusted_distance5": (0, lambda p, name: _adjusted_distance5()),
 }
+
+FAMILY_ARITY = {family: arity for family, (arity, _) in _FAMILIES.items()}
+
 
 def named_rule(rp: RuleParams) -> ScoringMatrix:
     """Instantiate a named rule family, every space in its default ordering."""
-    arity = FAMILY_ARITY.get(rp.family)
-    if arity is None:
+    if rp.family not in _FAMILIES:
         raise ValueError(f"unknown rule family: {rp.family!r}")
+    arity, build = _FAMILIES[rp.family]
     if len(rp.params) != arity:
         raise ValueError(f"{rp.family} takes {arity} parameters, got {len(rp.params)}")
     params = tuple(Fraction(p) for p in rp.params)
     name = rp.family if not params else f"{rp.family}({','.join(map(str, params))})"
-
-    if rp.family == "generic4":
-        return _cyclic_generic(4, _PAIR_NAMES_4, params, name)
-    if rp.family == "rolo_generic":
-        return _regular24("rolo", params, name)
-    if rp.family == "rolo_x1":
-        x = params[0]
-        return _regular24("rolo", (x, 0, 1, 0, 0, 1), name)
-    if rp.family == "rolo21":
-        return _regular24("rolo", (2, 0, 1, 0, 0, 1), "rolo21")
-    if rp.family == "trad21":
-        return _regular24("trad", (2, 1, 1, 0, 0, 0), "trad21")
-    if rp.family == "generic5":
-        return _cyclic_generic(5, _PAIR_NAMES_5, params, name)
-    if rp.family == "distance5":
-        return _distance5(params, name)
-    if rp.family == "adjusted_distance5":
-        return _adjusted_distance5()
-    raise AssertionError(rp.family)
+    return build(params, name)
 
 
 def rule(family: str, *params) -> ScoringMatrix:
@@ -241,11 +225,11 @@ def _cyclic_generic(n: int, pair_names, params: tuple[Fraction, ...], name: str)
 
 
 def _regular24(kind: str, params: tuple[Fraction, ...], name: str) -> ScoringMatrix:
-    """The space's first ballot scores the six parameters for the outcomes of PAPER_ORDER_4."""
-    space = build_ballot_space(kind, 4, default_ordering(kind, 4))
-    base = space[0]
-    seeds = [(base, parse_order(text), value) for text, value in zip(PAPER_ORDER_4, params)]
-    return build_neutral_matrix(space, seeds, None, name)
+    """The space's first ballot scores the six parameters for the outcomes of outcome_space(4)."""
+    space = build_ballot_space(kind, 4)
+    outcomes = outcome_space(4)
+    seeds = [(space[0], h, value) for h, value in zip(outcomes, params)]
+    return build_neutral_matrix(space, seeds, outcomes, name)
 
 
 def _distance5(weights: tuple[Fraction, ...], name: str) -> ScoringMatrix:

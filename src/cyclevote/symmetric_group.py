@@ -78,13 +78,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p.images[q.images[i]] for i in range(p.n)))
 
 
-def inverse(p: Permutation) -> Permutation:
-    images = [0] * p.n
-    for i, j in enumerate(p.images):
-        images[j] = i
-    return Permutation(tuple(images))
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     for word in _words(range(n)):
         yield Permutation(word)

@@ -15,8 +15,46 @@ from cyclevote.ballots import (
 )
 from cyclevote.cyclic_orders import act_on_order, enumerate_orders, parse_order
 from cyclevote.scoring import rule
-from cyclevote.symmetric_group import all_permutations, identity, parse_permutation
+from cyclevote.symmetric_group import Permutation, all_permutations, identity, parse_permutation
 from _goldens import CO4_ORDER, ROLO4_ORDER, TRAD4_FIRST
+
+
+# -- oracles: the searches the favourite-order and TRAD formulas replaced ------
+
+def _brute_force_favorite(b):
+    """The one 4-item order meeting every constraint of b, by search."""
+    def consistent(x):
+        seats = x.seq
+        succ = {(seats[i], seats[(i + 1) % 4]) for i in range(4)}
+        if isinstance(b, RoloBallot):
+            # right of the centre means immediately before it in the cycle
+            return (b.right, b.center) in succ and (b.center, b.left) in succ
+        opposite = {(seats[i], seats[(i + 2) % 4]) for i in range(4)}
+        return tuple(b.opposite) in opposite and b.adjacency in succ
+
+    matches = [x for x in enumerate_orders(4) if consistent(x)]
+    assert len(matches) == 1
+    return matches[0]
+
+
+def _mapping_permutation(src, dst):
+    """The unique element of S_4 carrying one ROLO ballot to another."""
+    images = [None] * 4
+    for a, b in ((src.center, dst.center), (src.right, dst.right), (src.left, dst.left)):
+        images[a] = b
+    rest_src = ({0, 1, 2, 3} - {src.center, src.right, src.left}).pop()
+    rest_dst = ({0, 1, 2, 3} - {dst.center, dst.right, dst.left}).pop()
+    images[rest_src] = rest_dst
+    return Permutation(tuple(images))
+
+
+def _all_trad_ballots():
+    return {
+        trad_ballot(pair, (z, w))
+        for pair in ((0, 1), (0, 2), (0, 3))
+        for z in range(4) for w in range(4)
+        if (z in pair) != (w in pair)
+    }
 
 
 def test_rolo_paper_table():
@@ -103,6 +141,29 @@ def test_favorite_order_examples():
         favorite_order(RoloBallot(0, 3, 2), n=5)
 
 
+def test_favorite_order_formula_matches_the_search():
+    rolo = build_ballot_space("rolo", 4, "canonical")
+    assert set(rolo) == set(build_ballot_space("rolo", 4, "paper"))
+    trad = _all_trad_ballots()
+    assert len(rolo) == len(trad) == 24
+    for b in (*rolo, *sorted(trad)):
+        assert favorite_order(b) == _brute_force_favorite(b)
+
+
+def test_trad_enumeration_matches_the_mapping_oracle():
+    rolo = build_ballot_space("rolo", 4, "paper")
+    base = trad_ballot((0, 1), (3, 0))  # AB-DA
+    expected = tuple(act_on_ballot(_mapping_permutation(rolo[0], b), base) for b in rolo)
+    assert build_ballot_space("trad", 4).ballots == expected
+    assert set(expected) == _all_trad_ballots()
+
+
+@pytest.mark.parametrize("ballot", [RoloBallot(4, 0, 1), RoloBallot(0, 1, 5), RoloBallot(0, 1, 4)])
+def test_favorite_order_rejects_labels_outside_n4(ballot):
+    with pytest.raises(ValueError):
+        favorite_order(ballot)
+
+
 def test_trad_first_block_favors_first_order():
     space = build_ballot_space("trad", 4)
     for text in TRAD4_FIRST:
@@ -135,6 +196,18 @@ def test_ballot_space_identity_and_parse():
         space.parse("A|E,C")
     cyclic = build_ballot_space("cyclic", 4, "paper")
     assert [cyclic.label(b)[1:-1] for b in cyclic.ballots] == list(CO4_ORDER)
+
+
+def test_each_space_is_one_object():
+    spellings = [
+        (build_ballot_space("cyclic", 6), build_ballot_space("cyclic", 6, "canonical")),
+        (build_ballot_space("cyclic", 5), build_ballot_space("cyclic", 5, "paper")),
+        (build_ballot_space("rolo", 4, "paper"),
+         build_ballot_space(kind="rolo", n=4, ordering="paper")),
+    ]
+    for space, other in spellings:
+        assert space is other
+        assert space.action is other.action
 
 
 def test_ballot_space_index_of():

@@ -30,6 +30,10 @@ def dot(u, v):
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
+def mat(rows):
+    return tuple(la.vec(r) for r in rows)
+
+
 # -- oracles: the two row reductions the integer Gauss-Jordan kernel replaced --
 
 def _fraction_rref(rows):
@@ -451,6 +455,6 @@ def test_solve_recovers_combination(coeffs):
 
 def test_mat_mul_and_transpose():
     a = ((1, 2), (3, 4))
-    assert la.mat_mul(a, identity_matrix(2)) == la.mat(a)
-    assert transpose(transpose(a)) == la.mat(a)
+    assert la.mat_mul(a, identity_matrix(2)) == mat(a)
+    assert transpose(transpose(a)) == mat(a)
     assert dot((1, 2, 3), (4, 5, 6)) == 32
