@@ -95,8 +95,9 @@ class TallyResult:
 
 def tally(m: ScoringMatrix, p: Profile) -> TallyResult:
     """Scores = M p; winners are the full argmax set, ties never broken."""
-    if p.space != m.ballot_space:
-        raise ValueError(f"profile space {p.space!r} != rule ballot space {m.ballot_space!r}")
+    if p.space is not m.ballot_space:
+        what = "is another object than" if repr(p.space) == repr(m.ballot_space) else "!="
+        raise ValueError(f"profile space {p.space!r} {what} rule ballot space {m.ballot_space!r}")
     scores = la.mat_vec(m.scaled, p.weights)
     top = max(scores)
     winners = frozenset(

@@ -155,7 +155,13 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
 
 
 class BallotSpace:
-    """An indexed enumeration of one ballot kind with its relabelling action."""
+    """An indexed enumeration of one ballot kind with its relabelling action.
+
+    A space compares and hashes by identity: the object owns its enumeration,
+    so two spaces with one (kind, n, ordering) label but different ballot
+    sequences never stand in for each other.  build_ballot_space returns the
+    one object of each space.
+    """
 
     def __init__(self, kind: str, n: int, ordering: str, ballots: tuple):
         self.kind = kind
@@ -175,15 +181,6 @@ class BallotSpace:
 
     def __getitem__(self, i: int):
         return self.ballots[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BallotSpace)
-            and (self.kind, self.n, self.ordering) == (other.kind, other.n, other.ordering)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n, self.ordering))
 
     def index_of(self, b: Ballot) -> int:
         try:

@@ -38,11 +38,15 @@ def _rule(args) -> scoring.ScoringMatrix:
     if args.rule == "orbit_seeds":
         if not args.seeds or not args.ballots:
             raise ValueError("orbit_seeds needs --seeds FILE and --ballots KIND")
-        _check_degree_cap(args.n, args)
-        space = ballots.build_ballot_space(args.ballots, args.n, args.ordering)
+        n = 4 if args.n is None else args.n
+        _check_degree_cap(n, args)
+        space = ballots.build_ballot_space(args.ballots, n, args.ordering)
         with open(args.seeds) as fh:
             seeds = scoring.parse_seed_file(fh.read(), space)
         return scoring.build_neutral_matrix(space, seeds, rule_name="orbit_seeds")
+    for flag in ("n", "ordering", "ballots", "seeds"):  # a named rule fixes its own space
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies to --rule orbit_seeds only, not to {args.rule}")
     return scoring.named_rule(scoring.RuleParams(args.rule, params))
 
 
@@ -56,7 +60,7 @@ def _add_rule_flags(p: _Parser) -> None:
     p.add_argument("--params", default="")
     p.add_argument("--seeds")
     p.add_argument("--ballots", choices=["cyclic", "rolo", "trad"])
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=int)
     p.add_argument("--ordering", choices=["paper", "canonical"])
 
 
@@ -135,7 +139,7 @@ def _space_for_character(args) -> ballots.BallotSpace:
 def _cmd_characters(args) -> None:
     _check_degree_cap(args.n, args)
     space = _space_for_character(args)
-    chi = representation.space_character(ballots.action_space(space))
+    chi = representation.space_character(space.action)
     for mu in partitions(args.n):
         print(f"{mu}\t{class_size(mu)}\t{format_rational(chi(mu))}")
 
@@ -143,7 +147,7 @@ def _cmd_characters(args) -> None:
 def _cmd_decompose(args) -> None:
     _check_degree_cap(args.n, args)
     space = _space_for_character(args)
-    chi = representation.space_character(ballots.action_space(space))
+    chi = representation.space_character(space.action)
     print(representation.decompose_character(chi).to_tsv())
 
 
@@ -183,7 +187,7 @@ def _cmd_project(args) -> None:
     with open(args.profile) as fh:
         p = analysis.parse_profile(fh.read(), space)
     lam = parse_partition(args.partition)
-    projected = representation.project_vector(p.weights, ballots.action_space(space), lam)
+    projected = representation.project_vector(p.weights, space.action, lam)
     print(analysis.format_profile(analysis.Profile(space, projected)))
 
 

@@ -14,7 +14,6 @@ pairs under simultaneous relabelling.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _words
@@ -187,29 +186,21 @@ def _relabel_to_base(x: CyclicOrder, y: CyclicOrder) -> tuple[int, ...]:
     return tuple(tau[label] for label in y.seq)
 
 
-def _adjacent_swaps(x: CyclicOrder) -> list[CyclicOrder]:
-    """Orders obtained by one simple transposition: swap two adjacent seats."""
-    out = []
-    n = x.n
-    for i in range(n):
-        word = list(x.seq)
-        word[i], word[(i + 1) % n] = word[(i + 1) % n], word[i]
-        out.append(canonicalize(word))
-    return out
-
-
 # bench/worker.py wraps this function by the name _distance_matrix.
 @lru_cache(maxsize=None)
 def _distance_matrix(n: int) -> dict[tuple[int, ...], int]:
-    """Transposition distance from the base order to every order, by one BFS."""
-    base = CyclicOrder(tuple(range(n)))
-    dist = {base.seq: 0}
-    queue = deque([base])
-    while queue:
-        x = queue.popleft()
-        for y in _adjacent_swaps(x):
-            if y.seq not in dist:
-                dist[y.seq] = dist[x.seq] + 1
+    """Transposition distance from the base order to every order, by one BFS
+    on seat tuples: swap two adjacent seats, then rotate label 0 to the front."""
+    queue = [tuple(range(n))]
+    dist = {queue[0]: 0}
+    for seq in queue:  # the list grows while it is read: a FIFO queue
+        for i in range(n):
+            word = list(seq)
+            word[i - 1], word[i] = word[i], word[i - 1]
+            k = word.index(0)
+            y = tuple(word[k:] + word[:k])
+            if y not in dist:
+                dist[y] = dist[seq] + 1
                 queue.append(y)
     return dist
 

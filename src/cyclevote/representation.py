@@ -19,7 +19,7 @@ over S_n caps projections at small degrees (GROUP_SUM_LIMIT).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -59,18 +59,19 @@ class Orbits(NamedTuple):
     counts: dict[int, Counter]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionSpace:
     """A basis 0..dim-1 with an S_n action: act(sigma, i) is an index.
 
     The integer views of the action are computed on first use and cached on
-    the instance (``act`` does not take part in equality, so no cache is
-    shared between spaces).
+    the instance.  Spaces compare and hash by identity, so two spaces with
+    equal dim, n and name but different actions are unequal, and no cache is
+    shared between them.
     """
 
     dim: int
     n: int
-    act: Callable[[Permutation, int], int] = field(compare=False)
+    act: Callable[[Permutation, int], int]
     name: str = ""
 
     def moves(self, sigma: Permutation) -> tuple[int, ...]:

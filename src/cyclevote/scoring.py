@@ -26,7 +26,6 @@ from . import _linalg as la
 from .ballots import (
     Ballot,
     BallotSpace,
-    action_space,
     build_ballot_space,
     outcome_space,
 )
@@ -84,8 +83,8 @@ class ScoringMatrix:
 
     def is_neutral(self) -> bool:
         """Check entry[sh][sg] == entry[h][g] for a generating set, all cells."""
-        return is_equivariant_matrix(action_space(self.outcome_space), self.entries,
-                                     action_space(self.ballot_space))
+        return is_equivariant_matrix(self.outcome_space.action, self.entries,
+                                     self.ballot_space.action)
 
 
 def format_rational(x: Fraction) -> str:
@@ -98,16 +97,18 @@ def format_rational(x: Fraction) -> str:
 
 
 @lru_cache(maxsize=None)
-def _pair_orbits(ballot_space: BallotSpace, outcomes: BallotSpace) -> tuple[tuple[int, ...], int]:
+def _pair_orbits(ballot_space: BallotSpace) -> tuple[tuple[int, ...], int]:
     """Orbit id of every (outcome, ballot) cell under the diagonal action.
 
-    Returns a flat row-major tuple of orbit ids and the orbit count.  Ids are
-    assigned in scan order, so they are deterministic for a given space pair.
+    The outcomes are outcome_space(n).  Returns a flat row-major tuple of
+    orbit ids and the orbit count.  Ids are assigned in scan order, so they
+    are deterministic for a given ballot space.
     """
+    outcomes = outcome_space(ballot_space.n)
     n_out, n_bal = len(outcomes), len(ballot_space)
     ids = [-1] * (n_out * n_bal)
-    ballot_moves = action_space(ballot_space).generator_moves
-    outcome_moves = action_space(outcomes).generator_moves
+    ballot_moves = ballot_space.action.generator_moves
+    outcome_moves = outcomes.action.generator_moves
     count = 0
     for start in range(n_out * n_bal):
         if ids[start] >= 0:
@@ -126,24 +127,25 @@ def _pair_orbits(ballot_space: BallotSpace, outcomes: BallotSpace) -> tuple[tupl
     return tuple(ids), count
 
 
-def orbit_count(ballot_space: BallotSpace, outcomes: BallotSpace | None = None) -> int:
-    """Number of free parameters of a neutral rule on this ballot space."""
-    outcomes = outcomes or outcome_space(ballot_space.n)
-    return _pair_orbits(ballot_space, outcomes)[1]
+def orbit_count(ballot_space: BallotSpace) -> int:
+    """Number of free parameters of a neutral rule on this ballot space,
+    scored against outcome_space(n)."""
+    return _pair_orbits(ballot_space)[1]
 
 
 def build_neutral_matrix(
     ballot_space: BallotSpace,
     seeds: Sequence[tuple[Ballot, CyclicOrder, Fraction]],
-    outcomes: BallotSpace | None = None,
     rule_name: str = "seeded",
 ) -> ScoringMatrix:
     """Propagate seed values over their orbits; unseeded orbits stay zero.
 
+    The rows are the outcomes of outcome_space(n), the columns the ballots of
+    ballot_space; the orbits are those of that space object's own action.
     Two seeds in one orbit conflict unless they agree (agreement warns).
     """
-    outcomes = outcomes or outcome_space(ballot_space.n)
-    ids, count = _pair_orbits(ballot_space, outcomes)
+    outcomes = outcome_space(ballot_space.n)
+    ids, count = _pair_orbits(ballot_space)
     n_bal = len(ballot_space)
     values: list[Fraction | None] = [None] * count
     for ballot, order, value in seeds:
@@ -221,15 +223,14 @@ def _cyclic_generic(n: int, pair_names, params: tuple[Fraction, ...], name: str)
     space = outcome_space(n)
     base = space.parse(pair_names[0][1])
     seeds = [(space.parse(text), base, value) for (_, text), value in zip(pair_names, params)]
-    return build_neutral_matrix(space, seeds, space, name)
+    return build_neutral_matrix(space, seeds, name)
 
 
 def _regular24(kind: str, params: tuple[Fraction, ...], name: str) -> ScoringMatrix:
     """The space's first ballot scores the six parameters for the outcomes of outcome_space(4)."""
     space = build_ballot_space(kind, 4)
-    outcomes = outcome_space(4)
-    seeds = [(space[0], h, value) for h, value in zip(outcomes, params)]
-    return build_neutral_matrix(space, seeds, outcomes, name)
+    seeds = [(space[0], h, value) for h, value in zip(outcome_space(4), params)]
+    return build_neutral_matrix(space, seeds, name)
 
 
 def _distance5(weights: tuple[Fraction, ...], name: str) -> ScoringMatrix:
@@ -253,7 +254,7 @@ def _co5_rule(name: str, score) -> ScoringMatrix:
     alike.
     """
     space = outcome_space(5)
-    ids, count = _pair_orbits(space, space)
+    ids, count = _pair_orbits(space)
     n = len(space)
     values: list[Fraction | None] = [None] * count
     for g, oid in zip(space, ids[:n]):

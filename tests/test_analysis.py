@@ -181,7 +181,7 @@ def _family_rules(family):
         space = build_ballot_space("cyclic", 5, "paper")
         seeds = [(space.parse("ABCED"), parse_order("ABCDE"), Fraction(7, 3)),
                  (space.parse("ADBEC"), parse_order("ABCDE"), Fraction(-1, 2))]
-        return [build_neutral_matrix(space, seeds, space, "orbit_seeds")]
+        return [build_neutral_matrix(space, seeds, "orbit_seeds")]
     params = [_sweep_params(family, seed) for seed in range(4 if FAMILY_ARITY[family] else 1)]
     if family in _DEGENERATE_PARAMS:
         params.append(_DEGENERATE_PARAMS[family])

@@ -190,7 +190,7 @@ def test_rolo_blocks_follow_reference_orders():
 def test_ballot_space_identity_and_parse():
     space = build_ballot_space("rolo", 4, "paper")
     assert build_ballot_space("rolo", 4, "paper") is space  # cached
-    assert space == BallotSpace("rolo", 4, "paper", space.ballots)
+    assert space != BallotSpace("rolo", 4, "paper", space.ballots)  # identity, not the label
     assert space.index_of(space[5]) == 5
     with pytest.raises(ValueError):
         space.parse("A|E,C")

@@ -6,6 +6,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclevote.cli import main
@@ -143,6 +144,15 @@ def test_scaling_needs_the_default_ordering(tmp_path, capsys):
         assert code == 0 and err == ""
         if kind == "cyclic":
             assert [line.split("\t")[3] for line in out.splitlines()[:3]] == ["3", "3", "1"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "5"), ("--ordering", "canonical"), ("--ballots", "cyclic"), ("--seeds", "seeds.txt"),
+])
+def test_named_rule_rejects_a_space_flag(capsys, flag, value):
+    code, out, err = run(capsys, "matrix", "--rule", "generic4", "--params", "1,2,3", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} applies to --rule orbit_seeds only, not to generic4\n"
 
 
 def test_duplicate_seed_warns_in_one_line(tmp_path):

@@ -9,6 +9,7 @@ from cyclevote.ballots import build_ballot_space
 from cyclevote.cyclic_orders import (
     _PAIR_NAMES_4,
     _PAIR_NAMES_5,
+    _distance_matrix,
     _pair_representative,
     CyclicOrder,
     act_on_order,
@@ -341,6 +342,14 @@ def test_distance_matches_all_pairs_bfs_sampled(n):
         assert transposition_distance(x, y) == matrix[index[x]][index[y]]
 
 
+@pytest.mark.parametrize("n", (6, 7))
+def test_distance_table_matches_all_pairs_bfs(n):
+    # every entry of the table, where the pair test above samples; the base
+    # order (A B ... N) is the first canonical order
+    base_row = _brute_distance_matrix(n)[0]
+    assert _distance_matrix(n) == {x.seq: d for x, d in zip(enumerate_orders(n), base_row)}
+
+
 def _assert_matches_orbit_bfs(x, y):
     orbit = _brute_orbit(x, y)
     cls = classify_pair(x, y)
@@ -383,5 +392,5 @@ def test_pair_orbit_count_matches_orbit_bfs(n):
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
 def test_pair_orbit_count_matches_scoring_orbits(n):
     space = build_ballot_space("cyclic", n, "canonical")
-    assert pair_orbit_count(n) == orbit_count(space, space)
+    assert pair_orbit_count(n) == orbit_count(space)
 

@@ -516,3 +516,11 @@ def test_generators_must_reach_the_whole_group(monkeypatch):
     space = ActionSpace(dim=2, n=3, act=lambda s, i: i)
     with pytest.raises(ValueError, match="reached 1 of the 6"):
         isotypic_projector(space, Partition((3,)))
+
+
+def test_action_spaces_compare_by_identity():
+    # the trivial and the sign representation on one pair of indices
+    fixed = ActionSpace(dim=2, n=3, act=lambda s, i: i, name="pair")
+    swapped = ActionSpace(dim=2, n=3, act=lambda s, i: 1 - i if sign(s) < 0 else i, name="pair")
+    assert fixed != swapped
+    assert fixed == fixed and len({fixed, swapped}) == 2

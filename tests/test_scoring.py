@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 import cyclevote.scoring as scoring
-from cyclevote.ballots import build_ballot_space
+from cyclevote.analysis import profile, tally
+from cyclevote.ballots import BallotSpace, build_ballot_space
 from cyclevote.cyclic_orders import (
     classify_pair,
     parse_order,
@@ -256,3 +257,34 @@ def test_score_lookup_matches_entries():
     g = m.ballot_space.index_of(b)
     assert m.score(b, h) == m.entries[m.outcome_space.index_of(h)][g]
     assert m.column(b) == tuple(row[g] for row in m.entries)
+
+
+def _swapped_co4():
+    """The real paper co4 space, its orbit table warm, and a hand-built space
+    with the same (kind, n, ordering) label but its first and third ballots swapped."""
+    real = build_ballot_space("cyclic", 4, "paper")
+    assert orbit_count(real) == 3  # warms the pair-orbit cache on the real space
+    ballots = list(real.ballots)
+    ballots[0], ballots[2] = ballots[2], ballots[0]
+    return real, BallotSpace("cyclic", 4, "paper", tuple(ballots))
+
+
+def test_a_relabelled_space_with_the_real_label_is_another_space():
+    real, fake = _swapped_co4()
+    assert fake != real and repr(fake) == repr(real)
+
+
+def test_orbits_of_a_relabelled_space_come_from_its_own_enumeration():
+    _, fake = _swapped_co4()
+    g = parse_order("(ACBD)")
+    seeds = [(g, g, Fraction(3)), (reverse_order(g), g, Fraction(1)),
+             (parse_order("(ABCD)"), g, Fraction(-1))]
+    m = build_neutral_matrix(fake, seeds)
+    assert m.is_neutral()
+    assert m.score(g, g) == 3 and m.score(parse_order("(ABCD)"), g) == -1
+
+
+def test_tally_rejects_a_profile_in_a_relabelled_space():
+    _, fake = _swapped_co4()
+    with pytest.raises(ValueError, match="another object"):
+        tally(rule("generic4", 3, 1, -1), profile(fake, range(len(fake))))
