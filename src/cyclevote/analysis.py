@@ -54,7 +54,7 @@ def profile(space: BallotSpace, weights: Iterable) -> Profile:
 
 def act_on_profile(sigma: Permutation, p: Profile) -> Profile:
     """Relabelled profile: the weight of index i moves to index sigma(i)."""
-    move = p.space.action.moves(sigma)
+    move = p.space.moves(sigma)
     # move is a permutation, so sorting by it never compares two weights
     return Profile(p.space, tuple(w for _, w in sorted(zip(move, p.weights))))
 

@@ -8,20 +8,22 @@ AB-DA and CD-DA denote the same ballot.  Both kinds carry the relabelling
 action componentwise and, for n=4, determine a unique favourite cyclic order.
 
 A BallotSpace fixes the enumeration order of one ballot kind; it is the one
-indexed enumeration of the package, and default_ordering names the ordering
-a space takes when none is named.  The "paper" ROLO order for n=4 lists, for
-each cyclic order of the reference enumeration, its four ballots together.
-The TRAD enumeration is derived from it: the i-th TRAD ballot is
-trad_ballot((C, X), (R, C)) for the i-th ROLO ballot C|R,L, with X = 6-C-R-L
-the fourth label.  That map commutes with relabelling, so the two spaces act
-identically index-by-index and each TRAD ballot shares its ROLO ballot's
-favourite order.
+indexed enumeration of the package, and its own ActionSpace: the relabelling
+action on its indices.  Every space has a "canonical" ordering (cyclic and
+ROLO: lexicographic); the reference "paper" orderings are the one table
+_PAPER, and default_ordering takes "paper" exactly where it has an entry.  The "paper"
+ROLO order for n=4 lists, for each cyclic order of the n=4 reference
+enumeration, its four ballots together.  The TRAD enumeration is derived
+from it: the i-th TRAD ballot is trad_ballot((C, X), (R, C)) for the i-th
+ROLO ballot C|R,L, with X = 6-C-R-L the fourth label.  That map commutes
+with relabelling, so the two spaces act identically index-by-index and each
+TRAD ballot shares its ROLO ballot's favourite order.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations as _words
 
 from .cyclic_orders import (
@@ -34,15 +36,25 @@ from .cyclic_orders import (
 from .representation import ActionSpace
 from .symmetric_group import LETTERS, Permutation
 
-#: Reference ROLO enumeration for n=4 (four ballots per favourite order).
-PAPER_ROLO_4 = (
-    "A|D,C", "B|C,D", "D|B,A", "C|A,B",
-    "C|B,A", "D|A,B", "A|C,D", "B|D,C",
-    "A|D,B", "C|B,D", "B|A,C", "D|C,A",
-    "B|C,A", "D|A,C", "C|D,B", "A|B,D",
-    "D|B,C", "A|C,B", "B|A,D", "C|D,A",
-    "C|A,D", "B|D,A", "D|C,B", "A|B,C",
-)
+#: The reference ("paper") enumerations as ballot literals, keyed by (kind, n);
+#: the cyclic ones list reversal pairs together.
+_PAPER = {
+    ("cyclic", 4): ("ACBD", "ADBC", "ABCD", "ADCB", "ABDC", "ACDB"),
+    ("cyclic", 5): (
+        "ABCDE", "AEDCB", "ABCED", "ADECB", "ABDCE", "AECDB",
+        "ABDEC", "ACEDB", "ABECD", "ADCEB", "ABEDC", "ACDEB",
+        "ACBDE", "AEDBC", "ACDBE", "AEBDC", "ACEBD", "ADBEC",
+        "ADBCE", "AECBD", "AEBCD", "ADCBE", "ACBED", "ADEBC",
+    ),
+    ("rolo", 4): (
+        "A|D,C", "B|C,D", "D|B,A", "C|A,B",
+        "C|B,A", "D|A,B", "A|C,D", "B|D,C",
+        "A|D,B", "C|B,D", "B|A,C", "D|C,A",
+        "B|C,A", "D|A,C", "C|D,B", "A|B,D",
+        "D|B,C", "A|C,B", "B|A,D", "C|D,A",
+        "C|A,D", "B|D,A", "D|C,B", "A|B,C",
+    ),
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -154,18 +166,21 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
         raise ValueError(f"{b} does not fit n=4") from None
 
 
-class BallotSpace:
-    """An indexed enumeration of one ballot kind with its relabelling action.
+class BallotSpace(ActionSpace):
+    """An indexed enumeration of one ballot kind; as an ActionSpace, its
+    relabelling action on the indices, act_index.
 
     A space compares and hashes by identity: the object owns its enumeration,
     so two spaces with one (kind, n, ordering) label but different ballot
-    sequences never stand in for each other.  build_ballot_space returns the
-    one object of each space.
+    sequences never stand in for each other, and the integer tables of the
+    action are cached on it once.  build_ballot_space returns the one object
+    of each space.
     """
 
     def __init__(self, kind: str, n: int, ordering: str, ballots: tuple):
+        # act is read off the class here, so a wrapper put on act_index before is used
+        super().__init__(dim=len(ballots), n=n, act=self.act_index, name=f"{kind}{n}")
         self.kind = kind
-        self.n = n
         self.ordering = ordering
         self.ballots = ballots
         self._index = {b: i for i, b in enumerate(ballots)}
@@ -190,16 +205,6 @@ class BallotSpace:
 
     def act_index(self, sigma: Permutation, i: int) -> int:
         return self._index[act_on_ballot(sigma, self.ballots[i])]
-
-    @cached_property
-    def action(self) -> ActionSpace:
-        """The index action, built once per space so its integer tables are shared."""
-        return ActionSpace(
-            dim=len(self),
-            n=self.n,
-            act=self.act_index,
-            name=f"{self.kind}{self.n}",
-        )
 
     def label(self, b: Ballot) -> str:
         return str(b)
@@ -236,10 +241,10 @@ def parse_ballot(text: str, kind: str) -> Ballot:
 def build_ballot_space(kind: str, n: int, ordering: str | None = None) -> BallotSpace:
     """The indexed ballot space, in default_ordering(kind, n) unless one is named.
 
-    kinds: "cyclic" (any n), "rolo" (n >= 4), "trad" (n=4 only).  The "paper"
-    ordering kind exists for (cyclic, 4), (cyclic, 5) and (rolo, 4).  Spaces
-    are cached on the resolved ordering, so every spelling of one space
-    returns one object, with one action.
+    kinds: "cyclic" (any n), "rolo" (n >= 4), "trad" (n=4 only).  The
+    "canonical" ordering exists for each, the "paper" ordering for the
+    (kind, n) pairs of _PAPER.  Spaces are cached on the resolved ordering,
+    so every spelling of one space returns one object.
     """
     if ordering is None:
         ordering = default_ordering(kind, n)
@@ -248,43 +253,39 @@ def build_ballot_space(kind: str, n: int, ordering: str | None = None) -> Ballot
 
 @lru_cache(maxsize=None)
 def _build_space(kind: str, n: int, ordering: str) -> BallotSpace:
-    if kind == "cyclic":
-        return BallotSpace(kind, n, ordering, enumerate_orders(n, ordering))
-    if kind == "rolo":
+    if ordering == "paper":
+        if (kind, n) not in _PAPER:
+            raise ValueError(f"no 'paper' ordering for ({kind}, {n})")
+        ballots = tuple(parse_ballot(text, kind) for text in _PAPER[kind, n])
+    elif ordering != "canonical":
+        raise ValueError(f"unknown ordering kind: {ordering!r}")
+    elif kind == "cyclic":
+        ballots = enumerate_orders(n)
+    elif kind == "rolo":
         if n < 4:
             raise ValueError("ROLO ballots need n >= 4")
-        if ordering == "paper":
-            if n != 4:
-                raise ValueError(f"no paper ordering for (rolo, {n})")
-            ballots = tuple(parse_ballot(t, "rolo") for t in PAPER_ROLO_4)
-        elif ordering == "canonical":
-            # itertools yields (center, right, left) triples in lexicographic order
-            ballots = tuple(RoloBallot(c, r, l) for c, r, l in _words(range(n), 3))
-        else:
-            raise ValueError(f"unknown ordering kind: {ordering!r}")
-        return BallotSpace(kind, n, ordering, ballots)
-    if kind == "trad":
+        # itertools yields (center, right, left) triples in lexicographic order
+        ballots = tuple(RoloBallot(c, r, l) for c, r, l in _words(range(n), 3))
+    elif kind == "trad":
         if n != 4:
             raise ValueError("TRAD ballots are defined for n=4 only")
-        if ordering != "canonical":
-            raise ValueError(f"no {ordering!r} ordering for (trad, 4)")
         ballots = tuple(
             trad_ballot((b.center, 6 - b.center - b.right - b.left), (b.right, b.center))
             for b in build_ballot_space("rolo", 4, "paper")
         )
-        return BallotSpace(kind, n, ordering, ballots)
-    raise ValueError(f"unknown ballot kind: {kind!r}")
+    else:
+        raise ValueError(f"unknown ballot kind: {kind!r}")
+    return BallotSpace(kind, n, ordering, ballots)
 
 
 def default_ordering(kind: str, n: int) -> str:
     """The ordering a space takes unless one is named: "paper" where the
-    reference enumeration exists (cyclic n in {4, 5}, ROLO n=4), else "canonical".
+    reference enumeration exists, else "canonical".
 
     The invariant-subspace catalogs and the named rule families are written
     in these orderings.
     """
-    paper = (kind == "cyclic" and n in (4, 5)) or (kind == "rolo" and n == 4)
-    return "paper" if paper else "canonical"
+    return "paper" if (kind, n) in _PAPER else "canonical"
 
 
 def outcome_space(n: int) -> BallotSpace:
@@ -293,5 +294,5 @@ def outcome_space(n: int) -> BallotSpace:
 
 
 def action_space(space: BallotSpace) -> ActionSpace:
-    """Adapter to the representation layer: the index action of the space."""
-    return space.action
+    """The index action of the space: the space itself (bench/ calls and wraps this)."""
+    return space

@@ -38,6 +38,8 @@ def _rule(args) -> scoring.ScoringMatrix:
     if args.rule == "orbit_seeds":
         if not args.seeds or not args.ballots:
             raise ValueError("orbit_seeds needs --seeds FILE and --ballots KIND")
+        if params:
+            raise ValueError("--params applies to named rules only, not to orbit_seeds")
         n = 4 if args.n is None else args.n
         _check_degree_cap(n, args)
         space = ballots.build_ballot_space(args.ballots, n, args.ordering)
@@ -139,7 +141,7 @@ def _space_for_character(args) -> ballots.BallotSpace:
 def _cmd_characters(args) -> None:
     _check_degree_cap(args.n, args)
     space = _space_for_character(args)
-    chi = representation.space_character(space.action)
+    chi = representation.space_character(space)
     for mu in partitions(args.n):
         print(f"{mu}\t{class_size(mu)}\t{format_rational(chi(mu))}")
 
@@ -147,7 +149,7 @@ def _cmd_characters(args) -> None:
 def _cmd_decompose(args) -> None:
     _check_degree_cap(args.n, args)
     space = _space_for_character(args)
-    chi = representation.space_character(space.action)
+    chi = representation.space_character(space)
     print(representation.decompose_character(chi).to_tsv())
 
 
@@ -187,7 +189,7 @@ def _cmd_project(args) -> None:
     with open(args.profile) as fh:
         p = analysis.parse_profile(fh.read(), space)
     lam = parse_partition(args.partition)
-    projected = representation.project_vector(p.weights, space.action, lam)
+    projected = representation.project_vector(p.weights, space, lam)
     print(analysis.format_profile(analysis.Profile(space, projected)))
 
 

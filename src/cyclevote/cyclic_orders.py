@@ -3,13 +3,11 @@
 A cyclic order is an arrangement up to rotation; it is stored canonically as
 the unique rotation whose sequence starts with label 0, so there are (n-1)!
 distinct values for each n.  Relabelling by a permutation is a left action.
-The module also provides the two enumeration orders used throughout (the
-"paper" reference order for n in {4, 5}, which lists reversal pairs together,
-and the lexicographic "canonical" order for any n) as plain sequences, which
-ballots.BallotSpace indexes, the fixed-order counting character of the
-relabelling action both in closed form and by brute force, transposition
-distance on the set of cyclic orders, and orbit classification of ordered
-pairs under simultaneous relabelling.
+The module also provides the lexicographic sequence of all orders for one n
+(the reference "paper" enumerations are in the table of ballots), the
+fixed-order counting character of the relabelling action both in closed
+form and by brute force, transposition distance on the set of cyclic orders,
+and orbit classification of ordered pairs under simultaneous relabelling.
 """
 from __future__ import annotations
 
@@ -26,18 +24,6 @@ from .symmetric_group import (
     Permutation,
     class_function,
 )
-
-#: Reference enumeration for n=4: reversal pairs adjacent, (ACBD) first.
-PAPER_ORDER_4 = ("ACBD", "ADBC", "ABCD", "ADCB", "ABDC", "ACDB")
-
-#: Reference enumeration for n=5: reversal pairs adjacent, (ABCDE) first.
-PAPER_ORDER_5 = (
-    "ABCDE", "AEDCB", "ABCED", "ADECB", "ABDCE", "AECDB",
-    "ABDEC", "ACEDB", "ABECD", "ADCEB", "ABEDC", "ACDEB",
-    "ACBDE", "AEDBC", "ACDBE", "AEBDC", "ACEBD", "ADBEC",
-    "ADBCE", "AECBD", "AEBCD", "ADCBE", "ACBED", "ADEBC",
-)
-
 
 @dataclass(frozen=True, order=True)
 class CyclicOrder:
@@ -118,20 +104,10 @@ def reverse_order(x: CyclicOrder) -> CyclicOrder:
 
 
 @lru_cache(maxsize=None)
-def enumerate_orders(n: int, kind: str = "canonical") -> tuple[CyclicOrder, ...]:
-    """All (n-1)! cyclic orders, in the requested enumeration order."""
+def enumerate_orders(n: int) -> tuple[CyclicOrder, ...]:
+    """All (n-1)! cyclic orders, in lexicographic order of their seats."""
     if n < 1:
         raise ValueError("n must be positive")
-    if kind == "paper":
-        if n == 4:
-            words = PAPER_ORDER_4
-        elif n == 5:
-            words = PAPER_ORDER_5
-        else:
-            raise ValueError(f"no paper ordering for n={n}; use canonical")
-        return tuple(parse_order(w) for w in words)
-    if kind != "canonical":
-        raise ValueError(f"unknown ordering kind: {kind!r}")
     return tuple(CyclicOrder((0, *rest)) for rest in _words(range(1, n)))
 
 
@@ -229,7 +205,8 @@ class PairClass:
         return self.tag
 
 
-#: Orbit names for n=5, each anchored at a pair whose first entry is (ABCDE).
+#: Orbit names for n=5, each anchored at a pair whose first entry is the
+#: "Same" anchor (ABCDE); _PAIR_NAMES_4 is anchored at (ACBD) alike.
 _PAIR_NAMES_5 = (
     ("Same", "ABCDE"),
     ("Reversal", "AEDCB"),
@@ -266,11 +243,8 @@ def _pair_representative(x: CyclicOrder, y: CyclicOrder) -> tuple[CyclicOrder, C
 @lru_cache(maxsize=None)
 def _named_representatives(n: int) -> dict[tuple[CyclicOrder, CyclicOrder], str]:
     names = {4: _PAIR_NAMES_4, 5: _PAIR_NAMES_5}.get(n, ())
-    base = parse_order("ABCDE" if n == 5 else "ACBD") if names else None
-    out = {}
-    for tag, second in names:
-        out[_pair_representative(base, parse_order(second))] = tag
-    return out
+    base = parse_order(names[0][1]) if names else None
+    return {_pair_representative(base, parse_order(second)): tag for tag, second in names}
 
 
 def classify_pair(x: CyclicOrder, y: CyclicOrder) -> PairClass:

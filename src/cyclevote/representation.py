@@ -1,7 +1,9 @@
 """Decomposition of permutation actions of S_n into irreducible pieces.
 
-An ActionSpace is any finite basis with an S_n action by index permutation.
-Its character counts fixed basis elements per conjugacy class; inner products
+An ActionSpace is any finite basis with an S_n action by index permutation;
+every ballots.BallotSpace is one, acting on the indices of its own
+enumeration, so the functions here take a ballot space as it is.  Its
+character counts fixed basis elements per conjugacy class; inner products
 with the irreducible characters give multiplicities, and group averaging with
 irreducible character weights gives the exact rational projector onto each
 isotypic component.
@@ -59,14 +61,15 @@ class Orbits(NamedTuple):
     counts: dict[int, Counter]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ActionSpace:
     """A basis 0..dim-1 with an S_n action: act(sigma, i) is an index.
 
     The integer views of the action are computed on first use and cached on
     the instance.  Spaces compare and hash by identity, so two spaces with
     equal dim, n and name but different actions are unequal, and no cache is
-    shared between them.
+    shared between them.  A subclass such as ballots.BallotSpace sets the
+    fields through this constructor; nothing assigns to them afterwards.
     """
 
     dim: int

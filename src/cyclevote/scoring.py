@@ -83,8 +83,7 @@ class ScoringMatrix:
 
     def is_neutral(self) -> bool:
         """Check entry[sh][sg] == entry[h][g] for a generating set, all cells."""
-        return is_equivariant_matrix(self.outcome_space.action, self.entries,
-                                     self.ballot_space.action)
+        return is_equivariant_matrix(self.outcome_space, self.entries, self.ballot_space)
 
 
 def format_rational(x: Fraction) -> str:
@@ -107,8 +106,8 @@ def _pair_orbits(ballot_space: BallotSpace) -> tuple[tuple[int, ...], int]:
     outcomes = outcome_space(ballot_space.n)
     n_out, n_bal = len(outcomes), len(ballot_space)
     ids = [-1] * (n_out * n_bal)
-    ballot_moves = ballot_space.action.generator_moves
-    outcome_moves = outcomes.action.generator_moves
+    ballot_moves = ballot_space.generator_moves
+    outcome_moves = outcomes.generator_moves
     count = 0
     for start in range(n_out * n_bal):
         if ids[start] >= 0:
@@ -248,23 +247,14 @@ def _adjusted_distance5() -> ScoringMatrix:
 def _co5_rule(name: str, score) -> ScoringMatrix:
     """The rule on 5-item cyclic orders scoring ballot g for outcome h as score(g, h).
 
-    score is called on the first outcome's row only: the outcomes form one
-    orbit, so every orbit of cells meets that row, and the other rows are
-    filled from the orbit ids.  Two cells of that row in one orbit must score
-    alike.
+    score is called once per orbit, on the anchor ballots of _PAIR_NAMES_5
+    for the "Same" anchor (ABCDE) as outcome, and neutrality fills every
+    other cell, as in _cyclic_generic.
     """
     space = outcome_space(5)
-    ids, count = _pair_orbits(space)
-    n = len(space)
-    values: list[Fraction | None] = [None] * count
-    for g, oid in zip(space, ids[:n]):
-        value = score(g, space[0])
-        if values[oid] is None:
-            values[oid] = value
-        elif values[oid] != value:
-            raise ValueError(f"{name}: ballots in one orbit score {values[oid]} and {value}")
-    entries = tuple(tuple(values[ids[h * n + g]] for g in range(n)) for h in range(n))
-    return ScoringMatrix(name, space, space, entries)
+    anchors = [space.parse(text) for _, text in _PAIR_NAMES_5]
+    base = anchors[0]
+    return build_neutral_matrix(space, [(g, base, score(g, base)) for g in anchors], name)
 
 
 def parse_params(text: str) -> tuple[Fraction, ...]:

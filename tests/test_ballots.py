@@ -14,9 +14,10 @@ from cyclevote.ballots import (
     trad_ballot,
 )
 from cyclevote.cyclic_orders import act_on_order, enumerate_orders, parse_order
+from cyclevote.representation import ActionSpace
 from cyclevote.scoring import rule
 from cyclevote.symmetric_group import Permutation, all_permutations, identity, parse_permutation
-from _goldens import CO4_ORDER, ROLO4_ORDER, TRAD4_FIRST
+from _goldens import CO4_ORDER, CO5_ORDER, ROLO4_ORDER, TRAD4_FIRST
 
 
 # -- oracles: the searches the favourite-order and TRAD formulas replaced ------
@@ -207,16 +208,46 @@ def test_each_space_is_one_object():
     ]
     for space, other in spellings:
         assert space is other
-        assert space.action is other.action
+
+
+def test_ballot_space_is_its_own_action():
+    for kind, n in (("cyclic", 4), ("cyclic", 6), ("rolo", 4), ("rolo", 5), ("trad", 4)):
+        space = build_ballot_space(kind, n)
+        assert isinstance(space, ActionSpace)
+        assert action_space(space) is space
+        assert (space.dim, space.n, space.name) == (len(space), n, f"{kind}{n}")
+        assert not hasattr(space, "action")
 
 
 def test_ballot_space_index_of():
-    for kind, n in (("canonical", 6), ("paper", 5)):
-        space = build_ballot_space("cyclic", n, kind)
-        assert space.ballots == enumerate_orders(n, kind)
+    paper5 = tuple(parse_order(w) for w in CO5_ORDER)
+    for ordering, n, table in (("canonical", 6, enumerate_orders(6)), ("paper", 5, paper5)):
+        space = build_ballot_space("cyclic", n, ordering)
+        assert space.ballots == table
         assert [space.index_of(x) for x in space] == list(range(len(space)))
     with pytest.raises(ValueError):
         build_ballot_space("cyclic", 4).index_of(parse_order("(ABCDE)"))
+
+
+def test_missing_orderings_raise_one_message():
+    for kind, n in (("cyclic", 3), ("cyclic", 6), ("rolo", 5), ("trad", 4)):
+        with pytest.raises(ValueError) as caught:
+            build_ballot_space(kind, n, "paper")
+        assert str(caught.value) == f"no 'paper' ordering for ({kind}, {n})"
+    with pytest.raises(ValueError, match="^unknown ordering kind: 'sideways'$"):
+        build_ballot_space("cyclic", 4, "sideways")
+
+
+def test_default_ordering_is_paper_exactly_where_a_paper_space_builds():
+    for kind in ("cyclic", "rolo", "trad"):
+        for n in range(3, 8):
+            try:
+                build_ballot_space(kind, n, "paper")
+            except ValueError as exc:
+                assert str(exc) == f"no 'paper' ordering for ({kind}, {n})"
+                assert default_ordering(kind, n) == "canonical"
+            else:
+                assert default_ordering(kind, n) == "paper"
 
 
 def test_default_ordering():
@@ -232,7 +263,7 @@ def test_action_space_adapter():
     space = build_ballot_space("cyclic", 4, "paper")
     adapter = action_space(space)
     assert adapter.dim == 6 and adapter.n == 4
-    table = enumerate_orders(4, "paper")
+    table = space.ballots
     sigma = parse_permutation("(0 1)", 4)
     for i in range(6):
         assert table[adapter.act(sigma, i)] == act_on_order(sigma, table[i])

@@ -155,6 +155,20 @@ def test_named_rule_rejects_a_space_flag(capsys, flag, value):
     assert err == f"error: {flag} applies to --rule orbit_seeds only, not to generic4\n"
 
 
+def test_orbit_seeds_rejects_params(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("A|D,C (ACBD) 2\n")
+    code, out, err = run(capsys, "matrix", "--rule", "orbit_seeds", "--seeds", str(seeds),
+                         "--ballots", "rolo", "--params", "1,2,3")
+    assert (code, out) == (2, "")
+    assert err == "error: --params applies to named rules only, not to orbit_seeds\n"
+
+
+def test_missing_ordering_names_kind_and_n(capsys):
+    code, out, err = run(capsys, "orders", "--n", "6", "--ordering", "paper")
+    assert (code, out, err) == (2, "", "error: no 'paper' ordering for (cyclic, 6)\n")
+
+
 def test_duplicate_seed_warns_in_one_line(tmp_path):
     # in a fresh interpreter, where no test harness captures the warning
     seeds = tmp_path / "seeds.txt"

@@ -440,6 +440,19 @@ def test_components_sum_back_at_n6(kind):
         assert acc == la.vec(v)
 
 
+def test_functions_take_a_ballot_space_itself():
+    space = build_ballot_space("cyclic", 5)
+    assert space_character(space).values == co_character(5).values
+    fresh = _fresh_action("cyclic", 5, "paper")
+    v = _seeded_vector("ballot space itself", len(space))
+    acc = la.zeros(len(space))
+    for lam in partitions(5):
+        component = project_vector(v, space, lam)
+        assert component == project_vector(v, fresh, lam), lam
+        acc = la.add(acc, component)
+    assert acc == la.vec(v)
+
+
 def test_base_rows_are_cached_per_partition():
     space = _fresh_action("cyclic", 5, "paper")
     lam = Partition((3, 1, 1))
