@@ -10,7 +10,6 @@ point away from the order they actually elect.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -18,6 +17,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import _linalg as la
+from ._record import Record
 from .ballots import BallotSpace, default_ordering, favorite_order
 from .cyclic_orders import CyclicOrder, reverse_order
 from .scoring import ScoringMatrix, format_rational
@@ -28,17 +28,14 @@ class MaskingInfeasibleError(ValueError):
     """The rule's kernel offers no usable direction for the requested masking."""
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record, fields=("space", "weights")):
     """Rational weights over a ballot space; entries may be negative."""
 
-    space: BallotSpace
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.space):
+    def __init__(self, space: BallotSpace, weights: tuple[Fraction, ...]):
+        self.__dict__.update(space=space, weights=weights)
+        if len(weights) != len(space):
             raise ValueError(
-                f"profile length {len(self.weights)} != space size {len(self.space)}"
+                f"profile length {len(weights)} != space size {len(space)}"
             )
 
     def __getitem__(self, ballot) -> Fraction:
@@ -87,10 +84,9 @@ def format_profile(p: Profile) -> str:
     )
 
 
-@dataclass(frozen=True)
-class TallyResult:
-    scores: tuple[Fraction, ...]
-    winners: frozenset[CyclicOrder]
+class TallyResult(Record, fields=("scores", "winners")):
+    def __init__(self, scores: tuple[Fraction, ...], winners: frozenset[CyclicOrder]):
+        self.__dict__.update(scores=scores, winners=winners)
 
 
 def tally(m: ScoringMatrix, p: Profile) -> TallyResult:
@@ -118,11 +114,9 @@ def effective_basis(m: ScoringMatrix) -> list[la.Vector]:
 
 # -- invariant-subspace catalogs ---------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    label: str
-    partition: Partition
-    vectors: tuple[la.Vector, ...]
+class CatalogEntry(Record, fields=("label", "partition", "vectors")):
+    def __init__(self, label: str, partition: Partition, vectors: tuple[la.Vector, ...]):
+        self.__dict__.update(label=label, partition=partition, vectors=vectors)
 
     @cached_property
     def scaled(self) -> la.ScaledMatrix:
@@ -135,12 +129,9 @@ class CatalogEntry:
         return la.ScaledMatrix(zip(*self.vectors))
 
 
-@dataclass(frozen=True)
-class SubspaceCatalog:
-    space_id: str
-    n: int
-    dim: int
-    entries: tuple[CatalogEntry, ...]
+class SubspaceCatalog(Record, fields=("space_id", "n", "dim", "entries")):
+    def __init__(self, space_id: str, n: int, dim: int, entries: tuple[CatalogEntry, ...]):
+        self.__dict__.update(space_id=space_id, n=n, dim=dim, entries=entries)
 
     def entry(self, label: str) -> CatalogEntry:
         for e in self.entries:
@@ -157,22 +148,27 @@ class SubspaceCatalog:
         return la.SpanSolver(self.all_vectors(), self.dim)
 
 
-def _entry(label: str, parts: tuple[int, ...], rows: Sequence[Sequence[int]]) -> CatalogEntry:
-    return CatalogEntry(label, Partition(parts), tuple(la.vec(r) for r in rows))
+def _entries(table) -> tuple[CatalogEntry, ...]:
+    """The entries of one catalog table of (label, partition parts, integer rows)."""
+    return tuple(CatalogEntry(label, Partition(parts), tuple(la.vec(r) for r in rows))
+                 for label, parts, rows in table)
 
 
+# The tables hold integer rows; their Fractions are made on the first
+# subspace_catalog call, not at import.
+#
 # 6-dimensional space of 4-item cyclic orders, reference enumeration.
 # "nonadj" spans the plane of contrasts between the three choices of the item
 # opposite A; its three listed spanning vectors sum to zero.  "rev" spans the
 # contrasts between each order and its reversal.
-_CO4_ENTRIES = (
-    _entry("T", (4,), [[1] * 6]),
-    _entry("nonadj", (2, 2), [
+_CO4 = (
+    ("T", (4,), [[1] * 6]),
+    ("nonadj", (2, 2), [
         [2, 2, -1, -1, -1, -1],
         [-1, -1, 2, 2, -1, -1],
         [-1, -1, -1, -1, 2, 2],
     ]),
-    _entry("rev", (2, 1, 1), [
+    ("rev", (2, 1, 1), [
         [1, -1, 0, 0, 0, 0],
         [0, 0, 1, -1, 0, 0],
         [0, 0, 0, 0, 1, -1],
@@ -183,43 +179,43 @@ _CO4_ENTRIES = (
 # the double copy of the two-dimensional irreducible; each w/u triplet spans
 # one copy of its three-dimensional irreducible and the triplets are mutually
 # orthogonal.
-_ROLO4_ENTRIES = (
-    _entry("T", (4,), [[1] * 24]),
-    _entry("v", (2, 2), [
+_ROLO4 = (
+    ("T", (4,), [[1] * 24]),
+    ("v", (2, 2), [
         [2, 2, 2, 2, 2, 2, 2, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1],
         [-1, -1, -1, -1, -1, -1, -1, -1, 2, 2, 2, 2, 2, 2, 2, 2, -1, -1, -1, -1, -1, -1, -1, -1],
         [2, 2, -2, -2, 2, 2, -2, -2, 1, 1, -1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, -1, 1, 1],
         [1, 1, -1, -1, 1, 1, -1, -1, 2, 2, -2, -2, 2, 2, -2, -2, 1, 1, -1, -1, 1, 1, -1, -1],
     ]),
-    _entry("w1", (2, 1, 1), [
+    ("w1", (2, 1, 1), [
         [1, 1, 1, 1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, -1, -1, -1, -1],
     ]),
-    _entry("w2", (2, 1, 1), [
+    ("w2", (2, 1, 1), [
         [0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0],
         [1, -1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 1, -1],
         [0, 0, 1, -1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
     ]),
-    _entry("w3", (2, 1, 1), [
+    ("w3", (2, 1, 1), [
         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0, -1, 1],
         [0, 0, 1, -1, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0],
         [-1, 1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     ]),
-    _entry("sign", (1, 1, 1, 1), [
+    ("sign", (1, 1, 1, 1), [
         [1, 1, -1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, -1, 1, 1, 1, 1, -1, -1, 1, 1, -1, -1],
     ]),
-    _entry("u1", (3, 1), [
+    ("u1", (3, 1), [
         [1, 1, -1, -1, -1, -1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, 1, 1, 1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, -1, -1, -1, -1, 1, 1],
     ]),
-    _entry("u2", (3, 1), [
+    ("u2", (3, 1), [
         [0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0],
         [1, -1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, -1, 1],
         [0, 0, -1, 1, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
     ]),
-    _entry("u3", (3, 1), [
+    ("u3", (3, 1), [
         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0, -1, 1],
         [1, -1, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, -1, 1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0],
@@ -247,14 +243,14 @@ _CO5_Z = (
     [-1, -1, 1, 1, 1, 1, -1, -1, 5, 5, 1, 1, -5, -5, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1],
     [1, 1, -1, -1, -1, -1, 1, 1, 1, 1, 5, 5, -1, -1, 1, 1, -1, -1, -5, -5, -1, -1, 1, 1],
 )
-_CO5_ENTRIES = (
-    _entry("T", (5,), [[1] * 24]),
-    _entry("sign", (1, 1, 1, 1, 1), [
+_CO5 = (
+    ("T", (5,), [[1] * 24]),
+    ("sign", (1, 1, 1, 1, 1), [
         [1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1, 1],
     ]),
-    _entry("y", (2, 2, 1), _CO5_Y),
-    _entry("z", (3, 2), _CO5_Z),
-    _entry("pairdiff", (3, 1, 1), [
+    ("y", (2, 2, 1), _CO5_Y),
+    ("z", (3, 2), _CO5_Z),
+    ("pairdiff", (3, 1, 1), [
         [0] * (2 * k) + [1, -1] + [0] * (22 - 2 * k) for k in range(12)
     ]),
 )
@@ -269,11 +265,13 @@ def subspace_catalog(space_id: str) -> SubspaceCatalog:
     so its solver is factored once per process.
     """
     if space_id == "co4":
-        return SubspaceCatalog("co4", 4, 6, _CO4_ENTRIES)
-    if space_id in ("rolo4", "trad4"):
-        return SubspaceCatalog(space_id, 4, 24, _ROLO4_ENTRIES)
+        return SubspaceCatalog("co4", 4, 6, _entries(_CO4))
+    if space_id == "rolo4":
+        return SubspaceCatalog("rolo4", 4, 24, _entries(_ROLO4))
+    if space_id == "trad4":
+        return SubspaceCatalog("trad4", 4, 24, subspace_catalog("rolo4").entries)
     if space_id == "co5":
-        return SubspaceCatalog("co5", 5, 24, _CO5_ENTRIES)
+        return SubspaceCatalog("co5", 5, 24, _entries(_CO5))
     raise ValueError(f"no subspace catalog for {space_id!r}")
 
 
@@ -293,12 +291,11 @@ def catalog_for_space(space: BallotSpace) -> SubspaceCatalog:
     return subspace_catalog(space_id)
 
 
-@dataclass(frozen=True)
-class DecomposedComponent:
-    label: str
-    partition: Partition
-    coefficients: tuple[Fraction, ...]
-    component: la.Vector
+class DecomposedComponent(Record, fields=("label", "partition", "coefficients", "component")):
+    def __init__(self, label: str, partition: Partition, coefficients: tuple[Fraction, ...],
+                 component: la.Vector):
+        self.__dict__.update(label=label, partition=partition, coefficients=coefficients,
+                             component=component)
 
 
 def decompose_profile(p: Profile, catalog: SubspaceCatalog) -> list[DecomposedComponent]:
@@ -326,8 +323,8 @@ def decompose_profile(p: Profile, catalog: SubspaceCatalog) -> list[DecomposedCo
 
 # -- scaling reports ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntryScaling:
+class EntryScaling(Record, fields=("label", "partition", "kind", "scalar", "images",
+                                  "image_coords")):
     """How a rule treats one catalog subspace.
 
     kind "scalar": every basis vector maps to scalar * itself ("zero" when the
@@ -335,21 +332,20 @@ class EntryScaling:
     their expansion over the outcome catalog when one exists.
     """
 
-    label: str
-    partition: Partition
-    kind: str
-    scalar: Fraction | None
-    images: tuple[la.Vector, ...]
-    image_coords: tuple[tuple[Fraction, ...], ...] | None
+    def __init__(self, label: str, partition: Partition, kind: str, scalar: Fraction | None,
+                 images: tuple[la.Vector, ...],
+                 image_coords: tuple[tuple[Fraction, ...], ...] | None):
+        self.__dict__.update(label=label, partition=partition, kind=kind, scalar=scalar,
+                             images=images, image_coords=image_coords)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    rule_name: str
-    entries: tuple[EntryScaling, ...]
-    #: Exact eigenvalue of M M^T on each outcome-catalog subspace, or None
-    #: when the subspace is not an eigenspace.
-    quadratic: dict[str, Fraction | None]
+class ScalingReport(Record, fields=("rule_name", "entries", "quadratic")):
+    """quadratic holds the exact eigenvalue of M M^T on each outcome-catalog
+    subspace, or None when the subspace is not an eigenspace."""
+
+    def __init__(self, rule_name: str, entries: tuple[EntryScaling, ...],
+                 quadratic: dict[str, Fraction | None]):
+        self.__dict__.update(rule_name=rule_name, entries=entries, quadratic=quadratic)
 
     def scalar(self, label: str) -> Fraction:
         for e in self.entries:

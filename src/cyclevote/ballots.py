@@ -22,10 +22,10 @@ TRAD ballot shares its ROLO ballot's favourite order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _words
 
+from ._record import OrderedRecord
 from .cyclic_orders import (
     CyclicOrder,
     act_on_order,
@@ -57,40 +57,33 @@ _PAPER = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class RoloBallot:
+class RoloBallot(OrderedRecord, fields=("center", "right", "left")):
     """Centre item with the desired right and left neighbours."""
 
-    center: int
-    right: int
-    left: int
-
-    def __post_init__(self):
-        if len({self.center, self.right, self.left}) != 3:
+    def __init__(self, center: int, right: int, left: int):
+        self.__dict__.update(center=center, right=right, left=left)
+        if len({center, right, left}) != 3:
             raise ValueError(f"labels must be distinct: {self!r}")
 
     def __str__(self) -> str:
         return f"{LETTERS[self.center]}|{LETTERS[self.right]},{LETTERS[self.left]}"
 
 
-@dataclass(frozen=True, order=True)
-class TradBallot:
+class TradBallot(OrderedRecord, fields=("opposite", "adjacency")):
     """An opposite pair plus a directed adjacency (z sits right of w), n=4.
 
     The stored opposite pair is the one containing label 0; the complementary
     pair denotes the same ballot and is normalised away by trad_ballot().
     """
 
-    opposite: tuple[int, int]
-    adjacency: tuple[int, int]
-
-    def __post_init__(self):
-        if len(set(self.opposite) | set(self.adjacency)) > 4:
+    def __init__(self, opposite: tuple[int, int], adjacency: tuple[int, int]):
+        self.__dict__.update(opposite=opposite, adjacency=adjacency)
+        if len(set(opposite) | set(adjacency)) > 4:
             raise ValueError("TRAD ballots are defined for n=4 only")
-        if 0 not in self.opposite or self.opposite[0] > self.opposite[1]:
+        if 0 not in opposite or opposite[0] > opposite[1]:
             raise ValueError(f"opposite pair not in canonical form: {self!r}")
-        z, w = self.adjacency
-        if z == w or (z in self.opposite) == (w in self.opposite):
+        z, w = adjacency
+        if z == w or (z in opposite) == (w in opposite):
             raise ValueError(f"adjacency must join the two opposite pairs: {self!r}")
 
     def __str__(self) -> str:
@@ -150,20 +143,34 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
     if isinstance(b, RoloBallot):
         # R sits just before C and L just after; 0+1+2+3 = 6 gives the fourth label
         seats = (b.right, b.center, b.left, 6 - b.center - b.right - b.left)
-    elif isinstance(b, TradBallot):
-        # the two opposite pairs split 0+1+2+3 = 6: a partner is its pair's sum minus it
-        pair = sum(b.opposite)
-        z, w = b.adjacency
-        if z in b.opposite:
-            seats = (z, w, pair - z, 6 - pair - w)
-        else:
-            seats = (z, w, 6 - pair - z, pair - w)
     else:
-        raise TypeError(f"not a ballot: {b!r}")
+        seats = _label_tuple(b)
     try:
         return canonicalize(seats)
     except ValueError:
         raise ValueError(f"{b} does not fit n=4") from None
+
+
+def _label_tuple(b: Ballot) -> tuple[int, ...]:
+    """Labels that determine b, each moved on its own by a relabelling.
+
+    A cyclic order gives its seats (to be read up to rotation), a ROLO ballot
+    C|R,L gives (C, R, L), and a TRAD ballot XY-ZW gives the seats
+    (Z W Z' W') of its favourite order, Z' and W' the opposite partners of Z
+    and W.  Relabelling b by sigma maps its tuple entrywise through sigma.
+    """
+    if isinstance(b, CyclicOrder):
+        return b.seq
+    if isinstance(b, RoloBallot):
+        return (b.center, b.right, b.left)
+    if isinstance(b, TradBallot):
+        # the two opposite pairs split 0+1+2+3 = 6: a partner is its pair's sum minus it
+        pair = sum(b.opposite)
+        z, w = b.adjacency
+        if z in b.opposite:
+            return (z, w, pair - z, 6 - pair - w)
+        return (z, w, 6 - pair - z, pair - w)
+    raise TypeError(f"not a ballot: {b!r}")
 
 
 class BallotSpace(ActionSpace):
@@ -184,6 +191,8 @@ class BallotSpace(ActionSpace):
         self.ordering = ordering
         self.ballots = ballots
         self._index = {b: i for i, b in enumerate(ballots)}
+        self._label_tuples = tuple(map(_label_tuple, ballots))
+        self._label_index = {t: i for i, t in enumerate(self._label_tuples)}
 
     def __repr__(self) -> str:
         return f"BallotSpace({self.kind!r}, n={self.n}, ordering={self.ordering!r}, size={len(self)})"
@@ -204,7 +213,16 @@ class BallotSpace(ActionSpace):
             raise ValueError(f"{b} is not a ballot of {self!r}") from None
 
     def act_index(self, sigma: Permutation, i: int) -> int:
-        return self._index[act_on_ballot(sigma, self.ballots[i])]
+        """The index of ballot i relabelled by sigma, read on its label tuple
+        (act_on_ballot gives the same ballot, building it)."""
+        images = sigma.images
+        if len(images) != self.n:
+            raise ValueError(f"degree mismatch: {sigma.n} vs {self.n}")
+        labels = tuple([images[x] for x in self._label_tuples[i]])
+        if self.kind == "cyclic":  # the seats of a cyclic order start at label 0
+            k = labels.index(0)
+            labels = labels[k:] + labels[:k]
+        return self._label_index[labels]
 
     def label(self, b: Ballot) -> str:
         return str(b)

@@ -12,11 +12,11 @@ and orbit classification of ordered pairs under simultaneous relabelling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _words
 from math import factorial
 
+from ._record import OrderedRecord, Record
 from .symmetric_group import (
     LETTERS,
     ClassFunction,
@@ -25,18 +25,17 @@ from .symmetric_group import (
     class_function,
 )
 
-@dataclass(frozen=True, order=True)
-class CyclicOrder:
+
+class CyclicOrder(OrderedRecord, fields=("seq",)):
     """A cyclic order in canonical rotation: seq is a permutation starting at 0."""
 
-    seq: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.seq)
-        if sorted(self.seq) != list(range(n)):
-            raise ValueError(f"labels must be 0..{n - 1} exactly once: {self.seq!r}")
-        if self.seq[0] != 0:
-            raise ValueError(f"not in canonical rotation (must start at 0): {self.seq!r}")
+    def __init__(self, seq: tuple[int, ...]):
+        self.__dict__["seq"] = seq
+        n = len(seq)
+        if sorted(seq) != list(range(n)):
+            raise ValueError(f"labels must be 0..{n - 1} exactly once: {seq!r}")
+        if seq[0] != 0:
+            raise ValueError(f"not in canonical rotation (must start at 0): {seq!r}")
 
     @property
     def n(self) -> int:
@@ -194,12 +193,11 @@ def transposition_distance(x: CyclicOrder, y: CyclicOrder) -> int:
 
 # -- orbit classification of pairs ------------------------------------------
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(Record, fields=("tag", "representative")):
     """The orbit of an ordered pair of cyclic orders under joint relabelling."""
 
-    tag: str
-    representative: tuple[CyclicOrder, CyclicOrder]
+    def __init__(self, tag: str, representative: tuple[CyclicOrder, CyclicOrder]):
+        self.__dict__.update(tag=tag, representative=representative)
 
     def __str__(self) -> str:
         return self.tag

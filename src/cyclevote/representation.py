@@ -21,7 +21,6 @@ over S_n caps projections at small degrees (GROUP_SUM_LIMIT).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -29,6 +28,7 @@ from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import _linalg as la
+from ._record import Record
 from .symmetric_group import (
     ClassFunction,
     Partition,
@@ -61,7 +61,6 @@ class Orbits(NamedTuple):
     counts: dict[int, Counter]
 
 
-@dataclass(eq=False)
 class ActionSpace:
     """A basis 0..dim-1 with an S_n action: act(sigma, i) is an index.
 
@@ -72,10 +71,12 @@ class ActionSpace:
     fields through this constructor; nothing assigns to them afterwards.
     """
 
-    dim: int
-    n: int
-    act: Callable[[Permutation, int], int]
-    name: str = ""
+    def __init__(self, dim: int, n: int, act: Callable[[Permutation, int], int], name: str = ""):
+        self.dim, self.n, self.act, self.name = dim, n, act, name
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(dim={self.dim!r}, n={self.n!r}, "
+                f"act={self.act!r}, name={self.name!r})")
 
     def moves(self, sigma: Permutation) -> tuple[int, ...]:
         """act(sigma, i) for every index i, checked to permute 0..dim-1."""
@@ -212,13 +213,11 @@ def space_character(space: ActionSpace) -> ClassFunction:
     return class_function(space.n, lambda mu: sum(1 for i, j in enumerate(moves[mu]) if i == j))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record, fields=("n", "multiplicities", "dims")):
     """Multiplicities of each irreducible in a permutation module."""
 
-    n: int
-    multiplicities: dict[Partition, int]
-    dims: dict[Partition, int]
+    def __init__(self, n: int, multiplicities: dict[Partition, int], dims: dict[Partition, int]):
+        self.__dict__.update(n=n, multiplicities=multiplicities, dims=dims)
 
     @property
     def total_dim(self) -> int:

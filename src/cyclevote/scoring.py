@@ -17,12 +17,12 @@ import csv
 import io
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import _linalg as la
+from ._record import Record
 from .ballots import (
     Ballot,
     BallotSpace,
@@ -44,14 +44,13 @@ class SeedConflictError(ValueError):
     """Two seeds land in one orbit with different values."""
 
 
-@dataclass(frozen=True)
-class ScoringMatrix:
+class ScoringMatrix(Record, fields=("rule_name", "outcome_space", "ballot_space", "entries")):
     """Exact-rational score matrix: entries[h][g] = s(ballot g, outcome h)."""
 
-    rule_name: str
-    outcome_space: BallotSpace
-    ballot_space: BallotSpace
-    entries: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, rule_name: str, outcome_space: BallotSpace, ballot_space: BallotSpace,
+                 entries: tuple[tuple[Fraction, ...], ...]):
+        self.__dict__.update(rule_name=rule_name, outcome_space=outcome_space,
+                             ballot_space=ballot_space, entries=entries)
 
     @cached_property
     def scaled(self) -> la.ScaledMatrix:
@@ -172,12 +171,11 @@ def build_neutral_matrix(
     return ScoringMatrix(rule_name, outcomes, ballot_space, entries)
 
 
-@dataclass(frozen=True)
-class RuleParams:
+class RuleParams(Record, fields=("family", "params")):
     """A named rule family plus its rational parameters."""
 
-    family: str
-    params: tuple[Fraction, ...] = ()
+    def __init__(self, family: str, params: tuple[Fraction, ...] = ()):
+        self.__dict__.update(family=family, params=params)
 
 
 #: family -> (arity, builder); each builder takes the parameters and the rule name.

@@ -13,26 +13,25 @@ Murnaghan-Nakayama recursion.  All values are exact integers or rationals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _words
 from math import factorial
 from typing import Iterator, Mapping
 
+from ._record import OrderedRecord, Record
+
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class Permutation(OrderedRecord, fields=("images",)):
     """An element of S_n in one-line notation: position i maps to images[i]."""
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.images!r}")
+    def __init__(self, images: tuple[int, ...]):
+        self.__dict__["images"] = images
+        n = len(images)
+        if sorted(images) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
 
     @property
     def n(self) -> int:
@@ -105,17 +104,15 @@ def sign(p: Permutation) -> int:
     return -1 if (p.n - len(disjoint_cycles(p))) % 2 else 1
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(OrderedRecord, fields=("parts",)):
     """A partition of n as a weakly decreasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(x < 1 for x in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts!r}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts!r}")
+    def __init__(self, parts: tuple[int, ...]):
+        self.__dict__["parts"] = parts
+        if any(x < 1 for x in parts):
+            raise ValueError(f"parts must be positive: {parts!r}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {parts!r}")
 
     @property
     def n(self) -> int:
@@ -233,15 +230,12 @@ def specht_dimension(lam: Partition) -> int:
     return irreducible_character(lam, one_partition(lam.n))
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Record, fields=("n", "values")):
     """Rational values on the conjugacy classes of S_n, indexed by cycle type."""
 
-    n: int
-    values: Mapping[Partition, Fraction]
-
-    def __post_init__(self):
-        missing = [mu for mu in partitions(self.n) if mu not in self.values]
+    def __init__(self, n: int, values: Mapping[Partition, Fraction]):
+        self.__dict__.update(n=n, values=values)
+        missing = [mu for mu in partitions(n) if mu not in values]
         if missing:
             raise ValueError(f"class function undefined on {missing}")
 

@@ -6,11 +6,13 @@ import pytest
 import cyclevote._linalg as la
 from cyclevote.analysis import (
     CatalogEntry,
+    DecomposedComponent,
     EntryScaling,
     MaskingInfeasibleError,
     Profile,
     ScalingReport,
     SubspaceCatalog,
+    TallyResult,
     act_on_profile,
     catalog_for_space,
     decompose_profile,
@@ -25,10 +27,11 @@ from cyclevote.analysis import (
     subspace_catalog,
     tally,
 )
-from cyclevote.ballots import build_ballot_space, favorite_order
-from cyclevote.cyclic_orders import parse_order
-from cyclevote.scoring import FAMILY_ARITY, build_neutral_matrix, rule
-from cyclevote.symmetric_group import parse_permutation
+from cyclevote.ballots import RoloBallot, TradBallot, build_ballot_space, favorite_order
+from cyclevote.cyclic_orders import CyclicOrder, PairClass, parse_order
+from cyclevote.representation import ActionSpace, DecompositionReport
+from cyclevote.scoring import FAMILY_ARITY, RuleParams, ScoringMatrix, build_neutral_matrix, rule
+from cyclevote.symmetric_group import ClassFunction, Partition, Permutation, parse_permutation
 from test_linalg import _bareiss_nullspace, _fraction_rref, dot, transpose
 from _goldens import (
     PARADOX_PROFILE,
@@ -572,3 +575,108 @@ def test_tally_is_linear_and_scale_invariant():
         boosted = tally(m, scaled)
         assert boosted.scores == tuple(k * s for s in base.scores)
         assert boosted.winners == base.winners
+
+
+# -- value classes ---------------------------------------------------------------
+
+CO3 = build_ballot_space("cyclic", 3)
+_CO3_REPR = "BallotSpace('cyclic', n=3, ordering='canonical', size=2)"
+_P3 = "Partition(parts=(3,))"
+
+#: (make, repr, ordered): make() builds a new instance each call
+_RECORDS = {
+    "Permutation": (lambda: Permutation((1, 0, 2)), "Permutation(images=(1, 0, 2))", True),
+    "Partition": (lambda: Partition((2, 1)), "Partition(parts=(2, 1))", True),
+    "ClassFunction": (lambda: ClassFunction(1, {Partition((1,)): Fraction(1)}),
+                      "ClassFunction(n=1, values={Partition(parts=(1,)): Fraction(1, 1)})", False),
+    "CyclicOrder": (lambda: CyclicOrder((0, 2, 1)), "CyclicOrder(seq=(0, 2, 1))", True),
+    "PairClass": (lambda: PairClass("Same", (CyclicOrder((0, 1, 2)),) * 2),
+                  "PairClass(tag='Same', representative=(CyclicOrder(seq=(0, 1, 2)), "
+                  "CyclicOrder(seq=(0, 1, 2))))", False),
+    "RoloBallot": (lambda: RoloBallot(0, 1, 2), "RoloBallot(center=0, right=1, left=2)", True),
+    "TradBallot": (lambda: TradBallot((0, 1), (3, 0)),
+                   "TradBallot(opposite=(0, 1), adjacency=(3, 0))", True),
+    "DecompositionReport": (lambda: DecompositionReport(3, {Partition((3,)): 1},
+                                                        {Partition((3,)): 1}),
+                            f"DecompositionReport(n=3, multiplicities={{{_P3}: 1}}, "
+                            f"dims={{{_P3}: 1}})", False),
+    "ScoringMatrix": (lambda: ScoringMatrix("r", CO3, CO3, ((Fraction(2),),)),
+                      f"ScoringMatrix(rule_name='r', outcome_space={_CO3_REPR}, "
+                      f"ballot_space={_CO3_REPR}, entries=((Fraction(2, 1),),))", False),
+    "RuleParams": (lambda: RuleParams("rolo21"), "RuleParams(family='rolo21', params=())", False),
+    "Profile": (lambda: Profile(CO3, (Fraction(2), Fraction(-1))),
+                f"Profile(space={_CO3_REPR}, weights=(Fraction(2, 1), Fraction(-1, 1)))", False),
+    "TallyResult": (lambda: TallyResult((Fraction(2),), frozenset({CyclicOrder((0, 1, 2))})),
+                    "TallyResult(scores=(Fraction(2, 1),), "
+                    "winners=frozenset({CyclicOrder(seq=(0, 1, 2))}))", False),
+    "CatalogEntry": (lambda: CatalogEntry("T", Partition((3,)), ((Fraction(1),),)),
+                     f"CatalogEntry(label='T', partition={_P3}, vectors=((Fraction(1, 1),),))",
+                     False),
+    "SubspaceCatalog": (lambda: SubspaceCatalog("co3", 3, 1, ()),
+                        "SubspaceCatalog(space_id='co3', n=3, dim=1, entries=())", False),
+    "DecomposedComponent": (lambda: DecomposedComponent("T", Partition((3,)), (Fraction(1),),
+                                                        (Fraction(2),)),
+                            f"DecomposedComponent(label='T', partition={_P3}, "
+                            "coefficients=(Fraction(1, 1),), component=(Fraction(2, 1),))", False),
+    "EntryScaling": (lambda: EntryScaling("T", Partition((3,)), "zero", Fraction(0), (), None),
+                     f"EntryScaling(label='T', partition={_P3}, kind='zero', "
+                     "scalar=Fraction(0, 1), images=(), image_coords=None)", False),
+    "ScalingReport": (lambda: ScalingReport("r", (), {"T": None}),
+                      "ScalingReport(rule_name='r', entries=(), quadratic={'T': None})", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_value_classes_keep_frozen_record_semantics(name):
+    make, text, ordered = _RECORDS[name]
+    x, y = make(), make()
+    assert type(x).__name__ == name
+    assert repr(x) == text
+    assert x is not y and x == y and not x != y
+    fields = tuple(vars(x).values())  # the constructor stores the fields in order
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict field: unhashable, as the field tuple is
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) == expected
+    other = CyclicOrder((0, 1, 2)) if name == "Permutation" else Permutation((0, 1, 2))
+    assert x != other and x.__eq__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        x < other
+    if ordered:
+        assert x <= y and x >= y and not x < y and not x > y
+    else:
+        with pytest.raises(TypeError):
+            x < y
+    for field in vars(x):
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert repr(x) == text
+
+
+def test_value_class_constructors_and_cached_properties():
+    assert CyclicOrder((0, 1, 2)) != Permutation((0, 1, 2))
+    assert RoloBallot(center=0, right=1, left=2) == RoloBallot(0, 1, 2)
+    assert RuleParams(family="rolo21").params == ()
+    with pytest.raises(ValueError, match=r"labels must be distinct: RoloBallot\(center=0, right=0, left=2\)"):
+        RoloBallot(0, 0, 2)
+    with pytest.raises(ValueError, match=r"not in canonical form: TradBallot\(opposite=\(1, 0\)"):
+        TradBallot((1, 0), (3, 0))
+    def act(sigma, i):
+        return i
+    space = ActionSpace(dim=1, n=1, act=act)
+    assert repr(space) == f"ActionSpace(dim=1, n=1, act={act!r}, name='')"
+    assert space != ActionSpace(1, 1, act, "")
+    assert space.generator_moves is space.generator_moves == ((0,), (0,))
+    m = rule("rolo21")
+    assert m.echelon is m.echelon and m.scaled is m.scaled
+    cat = subspace_catalog("co4")
+    assert cat.solver is cat.solver
+    assert cat.entries[0].scaled is cat.entries[0].scaled
+    assert cat.entries[0].columns is cat.entries[0].columns
+    # trad4 reads the rolo4 table: one set of entries, built once
+    assert subspace_catalog("trad4").entries is subspace_catalog("rolo4").entries

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cyclevote.ballots import (
@@ -16,7 +18,15 @@ from cyclevote.ballots import (
 from cyclevote.cyclic_orders import act_on_order, enumerate_orders, parse_order
 from cyclevote.representation import ActionSpace
 from cyclevote.scoring import rule
-from cyclevote.symmetric_group import Permutation, all_permutations, identity, parse_permutation
+from cyclevote.symmetric_group import (
+    Permutation,
+    all_permutations,
+    class_representative,
+    generators,
+    identity,
+    parse_permutation,
+    partitions,
+)
 from _goldens import CO4_ORDER, CO5_ORDER, ROLO4_ORDER, TRAD4_FIRST
 
 
@@ -123,6 +133,37 @@ def test_rolo_action_is_free_and_transitive():
         assert len(movers) == 1  # simply transitive: exactly one mover per ballot
     stabiliser = [p for p in all_permutations(4) if act_on_ballot(p, base) == base]
     assert stabiliser == [identity(4)]
+
+
+def _act_index_cases():
+    for n in range(3, 8):
+        yield "cyclic", n, "canonical"
+    yield "cyclic", 4, "paper"
+    yield "cyclic", 5, "paper"
+    for n in range(4, 7):
+        yield "rolo", n, "canonical"
+    yield "rolo", 4, "paper"
+    yield "trad", 4, "canonical"
+
+
+@pytest.mark.parametrize("kind, n, ordering", list(_act_index_cases()))
+def test_act_index_matches_act_on_ballot(kind, n, ordering):
+    # the label-tuple path against the ballot-building oracle: every
+    # generator and class representative, then all of S_n up to n=5 and 300
+    # seeded permutations above
+    space = build_ballot_space(kind, n, ordering)
+    sigmas = list(generators(n)) + [class_representative(mu) for mu in partitions(n)]
+    if n <= 5:
+        sigmas += all_permutations(n)
+    else:
+        rnd = random.Random(f"act_index {kind} {n}")
+        sigmas += [Permutation(tuple(rnd.sample(range(n), n))) for _ in range(300)]
+    for sigma in sigmas:
+        for i, b in enumerate(space.ballots):
+            assert space.act_index(sigma, i) == space.index_of(act_on_ballot(sigma, b))
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            space.act_index(identity(wrong), 0)
 
 
 def test_trad_action_matches_rolo_indexwise():

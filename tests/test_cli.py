@@ -183,6 +183,29 @@ def test_duplicate_seed_warns_in_one_line(tmp_path):
     assert len(result.stdout.splitlines()) == 7  # header and the six outcomes
 
 
+def test_cli_import_generates_no_code_and_no_catalog_fractions():
+    # -S: no site hook imports anything before cyclevote does
+    code = (
+        "import fractions, sys\n"
+        "made = []\n"
+        "new = fractions.Fraction.__new__\n"
+        "def counting(cls, *args, **kwargs):\n"
+        "    made.append(args)\n"
+        "    return new(cls, *args, **kwargs)\n"
+        "fractions.Fraction.__new__ = counting\n"
+        "import cyclevote.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), len(made))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # the one Fraction is masking_profile's default magnitude; the catalog
+    # tables hold integers until subspace_catalog is first called
+    assert result.stdout == "[] 1\n"
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "orders")
     assert code == 1 and "usage error" in err
