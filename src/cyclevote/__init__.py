@@ -52,7 +52,6 @@ from .representation import (
     space_character,
 )
 from .scoring import (
-    RuleParams,
     ScoringMatrix,
     SeedConflictError,
     build_neutral_matrix,

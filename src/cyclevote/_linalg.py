@@ -20,10 +20,10 @@ is exact; no floats ever appear.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -156,12 +156,12 @@ def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
 class Echelon:
     """The pivot rows of a matrix's integer Gauss–Jordan form, and its pivot columns.
 
-    rank, nullspace, rref, row_space_basis and project_onto_span accept one in
-    place of the matrix, so a matrix that several of them read is eliminated
-    only once.  A ScaledMatrix is accepted in place of the matrix, so rows
-    whose denominators are already cleared are not cleared again.  The
-    pivot-row property of _eliminate is checked on construction: pivot row i
-    is nonzero in pivot column i and zero in every other pivot column.
+    rank, nullspace, rref and project_onto_span accept one in place of the
+    matrix, so a matrix that several of them read is eliminated only once.  A
+    ScaledMatrix is accepted in place of the matrix, so rows whose
+    denominators are already cleared are not cleared again.  The pivot-row
+    property of _eliminate is checked on construction: pivot row i is nonzero
+    in pivot column i and zero in every other pivot column.
     """
 
     __slots__ = ("rows", "pivots", "ncols")
@@ -216,10 +216,6 @@ def rref(rows: Sequence[Sequence] | Echelon) -> tuple[list[Vector], list[int]]:
     return ([tuple(Fraction(x, row[p]) if x else zero for x in row)
              for row, p in zip(ech.rows, ech.pivots)],
             list(ech.pivots))
-
-
-def row_space_basis(rows: Sequence[Sequence] | Echelon) -> list[Vector]:
-    return rref(rows)[0]
 
 
 def project_onto_span(rows: Sequence[Sequence] | Echelon, v: Sequence) -> Vector:

@@ -15,11 +15,12 @@ code at import:
   functools.cached_property writes to the instance dict directly, so it
   still works.
 
-OrderedRecord adds ``<``, ``<=``, ``>`` and ``>=`` on the field tuples,
-within one class as well.
+OrderedRecord adds ``<`` on the field tuples, within one class as well;
+functools.total_ordering derives ``<=``, ``>`` and ``>=`` from it and ``==``.
 """
 from __future__ import annotations
 
+from functools import total_ordering
 from operator import attrgetter
 
 
@@ -53,23 +54,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class OrderedRecord(Record):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) < self._key(other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) <= self._key(other)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) > self._key(other)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) >= self._key(other)
         return NotImplemented

@@ -10,11 +10,11 @@ point away from the order they actually elect.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from . import _linalg as la
 from ._record import Record
@@ -109,7 +109,7 @@ def kernel_basis(m: ScoringMatrix) -> list[la.Vector]:
 
 def effective_basis(m: ScoringMatrix) -> list[la.Vector]:
     """Basis of the orthogonal complement of the kernel (the row space of M)."""
-    return la.row_space_basis(m.echelon)
+    return la.rref(m.echelon)[0]
 
 
 # -- invariant-subspace catalogs ---------------------------------------------
@@ -291,6 +291,12 @@ def catalog_for_space(space: BallotSpace) -> SubspaceCatalog:
     return subspace_catalog(space_id)
 
 
+def _check_catalog(catalog: SubspaceCatalog, space: BallotSpace) -> None:
+    if (catalog.n, catalog.dim) != (space.n, len(space)):
+        raise ValueError(f"catalog {catalog.space_id} (n={catalog.n}, dim {catalog.dim}) "
+                         f"does not fit {space!r}")
+
+
 class DecomposedComponent(Record, fields=("label", "partition", "coefficients", "component")):
     def __init__(self, label: str, partition: Partition, coefficients: tuple[Fraction, ...],
                  component: la.Vector):
@@ -305,8 +311,7 @@ def decompose_profile(p: Profile, catalog: SubspaceCatalog) -> list[DecomposedCo
     "nonadj" spanning set), later dependent vectors get coefficient zero, so
     the expansion is unique.
     """
-    if len(p.weights) != catalog.dim:
-        raise ValueError(f"profile dim {len(p.weights)} != catalog dim {catalog.dim}")
+    _check_catalog(catalog, p.space)
     coeffs = catalog.solver.solve(p.weights)
     if coeffs is None:
         raise ValueError(f"catalog {catalog.space_id} does not span the profile")
@@ -356,21 +361,19 @@ class ScalingReport(Record, fields=("rule_name", "entries", "quadratic")):
         raise KeyError(label)
 
 
-def scaling_report(
-    m: ScoringMatrix,
-    catalog: SubspaceCatalog,
-    outcome_catalog: SubspaceCatalog | None = None,
-    expand_images: bool = True,
-) -> ScalingReport:
+def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
+                   expand_images: bool = True) -> ScalingReport:
     """Apply the rule to every catalog basis vector and classify the action.
 
     An entry is "scalar" ("zero" for the scalar 0) when the rule maps every
     one of its vectors to the same multiple of itself, which needs the
     outcome space to be the ballot space; otherwise it is "mapped", or "zero"
-    when every image vanishes.  With expand_images the image of every
-    "mapped" basis vector is also expressed in outcome-catalog coordinates;
-    skipping that keeps bulk parameter sweeps cheap.  The quadratic field
-    holds the eigenvalue of M Mᵀ on each outcome-catalog entry.
+    when every image vanishes.  The outcome catalog is catalog itself when
+    the rule scores its own ballot space, else the catalog of
+    outcome_space(n).  With expand_images the image of every "mapped" basis
+    vector is also expressed in outcome-catalog coordinates; skipping that
+    keeps bulk parameter sweeps cheap.  The quadratic field holds the
+    eigenvalue of M Mᵀ on each outcome-catalog entry.
 
     The work runs in integers.  M is written once as N / d with one common
     denominator d, and a catalog vector v as u / e, so that M v = N u / (d e)
@@ -379,13 +382,9 @@ def scaling_report(
     multiple w[p] / (d u[p]) does not depend on e.  Fractions are built only
     for the fields of the report.
     """
-    if catalog.dim != len(m.ballot_space):
-        raise ValueError(
-            f"catalog dim {catalog.dim} != ballot space size {len(m.ballot_space)}"
-        )
-    same_space = m.outcome_space == m.ballot_space
-    if outcome_catalog is None:
-        outcome_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
+    _check_catalog(catalog, m.ballot_space)
+    same_space = m.outcome_space is m.ballot_space
+    out_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
     d = lcm(*(den for _, den in m.scaled.rows))
     rows = [[x * (d // den) for x in row] for row, den in m.scaled.rows]
 
@@ -408,13 +407,13 @@ def scaling_report(
             continue
         coords = None
         if expand_images:
-            solve = outcome_catalog.solver.solve_ints
+            solve = out_catalog.solver.solve_ints
             coords = tuple(tuple(solve(w, d * e) or ()) for w, (_, e) in zip(products, vectors))
         entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
 
     columns = list(zip(*rows))
     quadratic = {}
-    for entry in outcome_catalog.entries:
+    for entry in out_catalog.entries:
         us = [u for u, _ in entry.scaled.rows]
         gram_images = [_int_mat_vec(rows, _int_mat_vec(columns, u)) for u in us]
         quadratic[entry.label] = _common_scalar(us, gram_images, d * d)

@@ -49,7 +49,7 @@ def _rule(args) -> scoring.ScoringMatrix:
     for flag in ("n", "ordering", "ballots", "seeds"):  # a named rule fixes its own space
         if getattr(args, flag) is not None:
             raise ValueError(f"--{flag} applies to --rule orbit_seeds only, not to {args.rule}")
-    return scoring.named_rule(scoring.RuleParams(args.rule, params))
+    return scoring.named_rule(args.rule, params)
 
 
 def _print_vectors(vectors) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import permutations as _words
-from math import factorial
+from math import factorial, gcd
 
 from ._record import OrderedRecord, Record
 from .symmetric_group import (
@@ -115,16 +115,6 @@ def count_fixed_orders(sigma: Permutation) -> int:
     return sum(1 for x in enumerate_orders(sigma.n) if act_on_order(sigma, x) == x)
 
 
-def _totient(d: int) -> int:
-    count = 0
-    for k in range(1, d + 1):
-        a, b = k, d
-        while b:
-            a, b = b, a % b
-        count += a == 1
-    return count
-
-
 def co_character(n: int) -> ClassFunction:
     """Fixed-order counts of the relabelling action, in closed form.
 
@@ -140,7 +130,7 @@ def co_character(n: int) -> ClassFunction:
         if any(p != d for p in mu.parts):
             return 0
         e = n // d
-        return factorial(e) * d**e * _totient(d) // n
+        return factorial(e) * d**e * sum(gcd(k, d) == 1 for k in range(d)) // n
 
     return class_function(n, value)
 

@@ -21,11 +21,11 @@ over S_n caps projections at small degrees (GROUP_SUM_LIMIT).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from operator import itemgetter, mul
-from typing import Callable, NamedTuple, Sequence
 
 from . import _linalg as la
 from ._record import Record
@@ -48,7 +48,7 @@ from .symmetric_group import (
 GROUP_SUM_LIMIT = 7
 
 
-class Orbits(NamedTuple):
+class Orbits(Record, fields=("bases", "rows", "counts")):
     """The orbits of an action, found by _orbits.
 
     bases[i] is the least index b of i's orbit and rows[i] is rho(g) for a g
@@ -56,9 +56,9 @@ class Orbits(NamedTuple):
     type mu with rho(sigma)[b] == k.
     """
 
-    bases: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    counts: dict[int, Counter]
+    def __init__(self, bases: tuple[int, ...], rows: tuple[tuple[int, ...], ...],
+                 counts: dict[int, Counter]):
+        self.__dict__.update(bases=bases, rows=rows, counts=counts)
 
 
 class ActionSpace:
@@ -73,6 +73,8 @@ class ActionSpace:
 
     def __init__(self, dim: int, n: int, act: Callable[[Permutation, int], int], name: str = ""):
         self.dim, self.n, self.act, self.name = dim, n, act, name
+        # per partition, the integer projector row of each orbit base (filled by _base_rows)
+        self.base_rows: dict[Partition, dict[int, list[int]]] = {}
 
     def __repr__(self) -> str:
         return (f"{self.__class__.__qualname__}(dim={self.dim!r}, n={self.n!r}, "
@@ -101,11 +103,6 @@ class ActionSpace:
     def orbits(self) -> Orbits:
         """Orbit bases, transversal rows and column counts; see _orbits."""
         return _orbits(self)
-
-    @cached_property
-    def base_rows(self) -> dict[Partition, dict[int, list[int]]]:
-        """Per partition, the integer projector row of each orbit base (filled by _base_rows)."""
-        return {}
 
 
 def _cayley_graph(n: int) -> tuple[list, dict, list]:

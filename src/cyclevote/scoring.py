@@ -16,10 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 from . import _linalg as la
 from ._record import Record
@@ -112,9 +111,8 @@ def _pair_orbits(ballot_space: BallotSpace) -> tuple[tuple[int, ...], int]:
         if ids[start] >= 0:
             continue
         ids[start] = count
-        queue = deque([start])
-        while queue:
-            cell = queue.popleft()
+        queue = [start]
+        for cell in queue:  # queue grows while it is read: FIFO order
             h, g = divmod(cell, n_bal)
             for om, bm in zip(outcome_moves, ballot_moves):
                 nxt = om[h] * n_bal + bm[g]
@@ -171,13 +169,6 @@ def build_neutral_matrix(
     return ScoringMatrix(rule_name, outcomes, ballot_space, entries)
 
 
-class RuleParams(Record, fields=("family", "params")):
-    """A named rule family plus its rational parameters."""
-
-    def __init__(self, family: str, params: tuple[Fraction, ...] = ()):
-        self.__dict__.update(family=family, params=params)
-
-
 #: family -> (arity, builder); each builder takes the parameters and the rule name.
 _FAMILIES = {
     "generic4": (3, lambda p, name: _cyclic_generic(4, _PAIR_NAMES_4, p, name)),
@@ -193,21 +184,21 @@ _FAMILIES = {
 FAMILY_ARITY = {family: arity for family, (arity, _) in _FAMILIES.items()}
 
 
-def named_rule(rp: RuleParams) -> ScoringMatrix:
+def named_rule(family: str, params: Sequence) -> ScoringMatrix:
     """Instantiate a named rule family, every space in its default ordering."""
-    if rp.family not in _FAMILIES:
-        raise ValueError(f"unknown rule family: {rp.family!r}")
-    arity, build = _FAMILIES[rp.family]
-    if len(rp.params) != arity:
-        raise ValueError(f"{rp.family} takes {arity} parameters, got {len(rp.params)}")
-    params = tuple(Fraction(p) for p in rp.params)
-    name = rp.family if not params else f"{rp.family}({','.join(map(str, params))})"
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown rule family: {family!r}")
+    arity, build = _FAMILIES[family]
+    if len(params) != arity:
+        raise ValueError(f"{family} takes {arity} parameters, got {len(params)}")
+    params = tuple(Fraction(p) for p in params)
+    name = family if not params else f"{family}({','.join(map(str, params))})"
     return build(params, name)
 
 
 def rule(family: str, *params) -> ScoringMatrix:
     """Shorthand: rule("generic4", 2, 1, 0)."""
-    return named_rule(RuleParams(family, tuple(Fraction(p) for p in params)))
+    return named_rule(family, params)
 
 
 def _cyclic_generic(n: int, pair_names, params: tuple[Fraction, ...], name: str) -> ScoringMatrix:

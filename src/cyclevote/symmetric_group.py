@@ -13,11 +13,11 @@ Murnaghan-Nakayama recursion.  All values are exact integers or rationals.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _words
 from math import factorial
-from typing import Iterator, Mapping
 
 from ._record import OrderedRecord, Record
 

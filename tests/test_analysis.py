@@ -29,8 +29,8 @@ from cyclevote.analysis import (
 )
 from cyclevote.ballots import RoloBallot, TradBallot, build_ballot_space, favorite_order
 from cyclevote.cyclic_orders import CyclicOrder, PairClass, parse_order
-from cyclevote.representation import ActionSpace, DecompositionReport
-from cyclevote.scoring import FAMILY_ARITY, RuleParams, ScoringMatrix, build_neutral_matrix, rule
+from cyclevote.representation import ActionSpace, DecompositionReport, Orbits
+from cyclevote.scoring import FAMILY_ARITY, ScoringMatrix, build_neutral_matrix, rule
 from cyclevote.symmetric_group import ClassFunction, Partition, Permutation, parse_permutation
 from test_linalg import _bareiss_nullspace, _fraction_rref, dot, transpose
 from _goldens import (
@@ -301,6 +301,24 @@ def test_decompose_profile_dimension_mismatch():
         decompose_profile(frac_profile(CO4, (1,) * 6), subspace_catalog("co5"))
 
 
+def test_catalogs_of_another_degree_are_rejected():
+    # co5 and rolo4 both have dimension 24; only the degree tells them apart
+    rolo21 = rule("rolo21")
+    with pytest.raises(ValueError, match=r"catalog co5 \(n=5, dim 24\) does not fit "
+                                         r"BallotSpace\('rolo', n=4"):
+        scaling_report(rolo21, subspace_catalog("co5"))
+    with pytest.raises(ValueError, match="catalog rolo4 .n=4, dim 24. does not fit"):
+        scaling_report(rule("generic5", 4, 0, 3, 1, 2, 2, 1, 1), subspace_catalog("rolo4"))
+    with pytest.raises(ValueError, match="catalog co5 .n=5, dim 24. does not fit"):
+        decompose_profile(frac_profile(rolo21.ballot_space, (1,) * 24), subspace_catalog("co5"))
+    # ROLO and TRAD share one table by design, so each space takes the other's catalog
+    trad4 = subspace_catalog("trad4")
+    assert scaling_report(rolo21, trad4).entries == scaling_report(rolo21, subspace_catalog("rolo4")).entries
+    assert decompose_profile(frac_profile(rolo21.ballot_space, (1,) * 24), trad4)[0].coefficients == (1,)
+    with pytest.raises(TypeError):  # no outcome catalog to pass: it follows from the rule
+        scaling_report(rolo21, trad4, subspace_catalog("co4"))
+
+
 def test_scaling_report_generic4():
     m = rule("generic4", 2, 1, 0)
     rep = scaling_report(m, subspace_catalog("co4"))
@@ -363,11 +381,10 @@ def _fraction_common_scalar(vectors, images):
     return Fraction(0) if k is None else k
 
 
-def _fraction_scaling_report(m, catalog, outcome_catalog=None, expand_images=True):
+def _fraction_scaling_report(m, catalog, expand_images=True):
     """scaling_report by Fraction mat-vecs and a Fraction M Mᵀ."""
-    same_space = m.outcome_space == m.ballot_space
-    if outcome_catalog is None:
-        outcome_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
+    same_space = m.outcome_space is m.ballot_space
+    outcome_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
     entries = []
     for entry in catalog.entries:
         images = tuple(la.mat_vec(m.entries, v) for v in entry.vectors)
@@ -395,10 +412,10 @@ def _fraction_scaling_report(m, catalog, outcome_catalog=None, expand_images=Tru
     return ScalingReport(m.rule_name, tuple(entries), quadratic)
 
 
-def _assert_report_matches_oracle(m, catalog, outcome_catalog=None):
+def _assert_report_matches_oracle(m, catalog):
     for expand in (True, False):
-        got = scaling_report(m, catalog, outcome_catalog, expand_images=expand)
-        assert got == _fraction_scaling_report(m, catalog, outcome_catalog, expand)
+        got = scaling_report(m, catalog, expand_images=expand)
+        assert got == _fraction_scaling_report(m, catalog, expand)
 
 
 @pytest.mark.parametrize("family", sorted(_CATALOG_OF_FAMILY))
@@ -418,7 +435,6 @@ def test_scaling_report_matches_fraction_oracle_across_spaces(family, params):
     assert (m.ballot_space.kind, m.outcome_space.kind, m.outcome_space.n) == (family[:4], "cyclic", 4)
     catalog = catalog_for_space(m.ballot_space)
     _assert_report_matches_oracle(m, catalog)
-    _assert_report_matches_oracle(m, catalog, subspace_catalog("co4"))
     report = scaling_report(m, catalog)
     assert all(e.scalar is None or e.kind == "zero" for e in report.entries)
     assert any(e.kind == "mapped" and e.image_coords for e in report.entries)
@@ -450,11 +466,10 @@ def test_scaling_report_matches_fraction_oracle_on_fractional_catalogs(family):
                           (la.scale(Fraction(7, 4), first.vectors[0]), last.vectors[0])))
     catalog = _scaled_catalog(base, extra)
     assert any(x.denominator == 3 for e in catalog.entries for v in e.vectors for x in v)
-    outcome = None if m.outcome_space == m.ballot_space else _scaled_catalog(subspace_catalog("co4"))
-    _assert_report_matches_oracle(m, catalog, outcome)
+    _assert_report_matches_oracle(m, catalog)
     # scaling a vector scales its image and leaves the scalars alone
-    plain = scaling_report(m, base, None if outcome is None else subspace_catalog("co4"))
-    scaled = scaling_report(m, catalog, outcome)
+    plain = scaling_report(m, base)
+    scaled = scaling_report(m, catalog)
     for e, f in zip(plain.entries, scaled.entries):
         assert f.scalar == e.scalar
         for k, (img, img_scaled) in enumerate(zip(e.images, f.images)):
@@ -463,7 +478,7 @@ def test_scaling_report_matches_fraction_oracle_on_fractional_catalogs(family):
     assert nil.kind == "zero" and nil.scalar == 0
     assert mixed.kind == "mapped"
     expected = dict(plain.quadratic)
-    if outcome is None:
+    if m.outcome_space is m.ballot_space:
         assert t_nil.scalar == plain.entries[0].scalar
         expected.update({"nil": 0, "T+nil": plain.quadratic["T"], "mixed": None})
     assert scaled.quadratic == expected
@@ -600,10 +615,11 @@ _RECORDS = {
                                                         {Partition((3,)): 1}),
                             f"DecompositionReport(n=3, multiplicities={{{_P3}: 1}}, "
                             f"dims={{{_P3}: 1}})", False),
+    "Orbits": (lambda: Orbits((0,), ((0,),), {0: {}}),
+               "Orbits(bases=(0,), rows=((0,),), counts={0: {}})", False),
     "ScoringMatrix": (lambda: ScoringMatrix("r", CO3, CO3, ((Fraction(2),),)),
                       f"ScoringMatrix(rule_name='r', outcome_space={_CO3_REPR}, "
                       f"ballot_space={_CO3_REPR}, entries=((Fraction(2, 1),),))", False),
-    "RuleParams": (lambda: RuleParams("rolo21"), "RuleParams(family='rolo21', params=())", False),
     "Profile": (lambda: Profile(CO3, (Fraction(2), Fraction(-1))),
                 f"Profile(space={_CO3_REPR}, weights=(Fraction(2, 1), Fraction(-1, 1)))", False),
     "TallyResult": (lambda: TallyResult((Fraction(2),), frozenset({CyclicOrder((0, 1, 2))})),
@@ -661,7 +677,6 @@ def test_value_classes_keep_frozen_record_semantics(name):
 def test_value_class_constructors_and_cached_properties():
     assert CyclicOrder((0, 1, 2)) != Permutation((0, 1, 2))
     assert RoloBallot(center=0, right=1, left=2) == RoloBallot(0, 1, 2)
-    assert RuleParams(family="rolo21").params == ()
     with pytest.raises(ValueError, match=r"labels must be distinct: RoloBallot\(center=0, right=0, left=2\)"):
         RoloBallot(0, 0, 2)
     with pytest.raises(ValueError, match=r"not in canonical form: TradBallot\(opposite=\(1, 0\)"):

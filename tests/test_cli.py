@@ -194,7 +194,7 @@ def test_cli_import_generates_no_code_and_no_catalog_fractions():
         "    return new(cls, *args, **kwargs)\n"
         "fractions.Fraction.__new__ = counting\n"
         "import cyclevote.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), len(made))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)), len(made))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

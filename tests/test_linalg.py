@@ -170,7 +170,6 @@ def test_vector_arithmetic_gives_fractions_for_any_rational_input():
 @settings(max_examples=200)
 def test_rref_matches_fraction_oracle(rows):
     assert la.rref(rows) == _fraction_rref(rows)
-    assert la.row_space_basis(rows) == _fraction_rref(rows)[0]
 
 
 @given(rational_matrix())

@@ -4,7 +4,7 @@ import pytest
 
 import cyclevote.scoring as scoring
 from cyclevote.analysis import profile, tally
-from cyclevote.ballots import BallotSpace, build_ballot_space
+from cyclevote.ballots import BallotSpace, act_on_ballot, build_ballot_space, outcome_space
 from cyclevote.cyclic_orders import (
     classify_pair,
     parse_order,
@@ -12,7 +12,6 @@ from cyclevote.cyclic_orders import (
     transposition_distance,
 )
 from cyclevote.scoring import (
-    RuleParams,
     SeedConflictError,
     build_neutral_matrix,
     format_rational,
@@ -22,6 +21,7 @@ from cyclevote.scoring import (
     parse_seed_file,
     rule,
 )
+from cyclevote.symmetric_group import all_permutations
 from _goldens import (
     EX_RULE_201,
     EX_RULE_210,
@@ -159,6 +159,35 @@ def test_orbit_counts():
     assert orbit_count(build_ballot_space("cyclic", 5, "paper")) == 8
 
 
+def _brute_force_pair_orbits(space):
+    """Each diagonal orbit {(sigma h, sigma g) : sigma in S_n} relabelled through
+    act_on_ballot, numbered by its least flat cell h * len(space) + g."""
+    outcomes, n_bal = outcome_space(space.n), len(space)
+    sigmas = list(all_permutations(space.n))
+    ids, count = [-1] * (len(outcomes) * n_bal), 0
+    for start in range(len(ids)):  # the first unnumbered cell is the least of its orbit
+        if ids[start] >= 0:
+            continue
+        h, g = divmod(start, n_bal)
+        for sigma in sigmas:
+            cell = (outcomes.index_of(act_on_ballot(sigma, outcomes[h])) * n_bal
+                    + space.index_of(act_on_ballot(sigma, space[g])))
+            assert ids[cell] in (-1, count)
+            ids[cell] = count
+        count += 1
+    return tuple(ids), count
+
+
+@pytest.mark.parametrize("kind,n,ordering", [
+    ("cyclic", 3, "canonical"), ("cyclic", 4, "paper"), ("cyclic", 4, "canonical"),
+    ("cyclic", 5, "paper"), ("rolo", 4, "paper"), ("rolo", 4, "canonical"),
+    ("rolo", 5, "canonical"), ("trad", 4, "canonical"),
+])
+def test_pair_orbit_ids_match_brute_force_orbits(kind, n, ordering):
+    space = build_ballot_space(kind, n, ordering)
+    assert scoring._pair_orbits(space) == _brute_force_pair_orbits(space)
+
+
 def test_build_from_seeds_reproduces_examples():
     co4 = build_ballot_space("cyclic", 4, "paper")
     g = parse_order("(ACBD)")
@@ -193,9 +222,9 @@ def test_seed_conflict_and_duplicate():
 
 def test_named_rule_arity_and_family_checks():
     with pytest.raises(ValueError):
-        named_rule(RuleParams("generic4", (1, 2)))
+        named_rule("generic4", (1, 2))
     with pytest.raises(ValueError):
-        named_rule(RuleParams("plurality", ()))
+        named_rule("plurality", ())
 
 
 def test_rule_names():
