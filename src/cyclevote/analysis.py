@@ -18,7 +18,7 @@ from operator import mul
 
 from . import _linalg as la
 from ._record import Record
-from .ballots import BallotSpace, default_ordering, favorite_order
+from .ballots import BallotSpace, build_ballot_space, default_ordering, favorite_order
 from .cyclic_orders import CyclicOrder, reverse_order
 from .scoring import ScoringMatrix, format_rational
 from .symmetric_group import Partition, Permutation
@@ -282,19 +282,25 @@ def catalog_for_space(space: BallotSpace) -> SubspaceCatalog:
     vectors mean nothing in any other enumeration.
     """
     space_id = f"{space.kind.replace('cyclic', 'co')}{space.n}"
-    expected = default_ordering(space.kind, space.n)
-    if space.ordering != expected:
-        raise ValueError(
-            f"the {space_id} catalog is written in the {expected!r} ordering, "
-            f"not {space.ordering!r}"
-        )
+    _check_default_space(space_id, space)
     return subspace_catalog(space_id)
+
+
+def _check_default_space(space_id: str, space: BallotSpace) -> None:
+    """Raise unless space is build_ballot_space(space.kind, space.n), whose
+    enumeration the catalogs are written in; a space built by hand never is."""
+    if space is not build_ballot_space(space.kind, space.n):
+        expected = default_ordering(space.kind, space.n)
+        shown = repr(space.ordering) if space.ordering != expected else f"a hand-built {space!r}"
+        raise ValueError(f"the {space_id} catalog is written in the {expected!r} ordering, "
+                         f"not {shown}")
 
 
 def _check_catalog(catalog: SubspaceCatalog, space: BallotSpace) -> None:
     if (catalog.n, catalog.dim) != (space.n, len(space)):
         raise ValueError(f"catalog {catalog.space_id} (n={catalog.n}, dim {catalog.dim}) "
                          f"does not fit {space!r}")
+    _check_default_space(catalog.space_id, space)
 
 
 class DecomposedComponent(Record, fields=("label", "partition", "coefficients", "component")):

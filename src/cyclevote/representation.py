@@ -13,10 +13,12 @@ representative.  The projector P commutes with the action, so
 P[rho(g)[i]][rho(g)[j]] = P[i][j]: row i is the base row of i's orbit
 permuted by rho(g_i), for a transversal element g_i carrying the base to i.
 Two checked breadth-first searches per orbit (_orbits), one over all n!
-elements of S_n and one over the orbit, give the transversal rows and the
-per-class counts from which each base row is summed in integers.  A
-projection is then dim**2 integer products, not an n!-term sum; the search
-over S_n caps projections at small degrees (GROUP_SUM_LIMIT).
+elements of S_n and one over the orbit, give the transversal, stored by
+column, and the per-class counts from which each base row is summed in
+integers.  A projection gathers the vector through each transversal column
+and sums the gathered columns per distinct value of the base row, not an
+n!-term sum; the search over S_n caps projections at small degrees
+(GROUP_SUM_LIMIT).
 """
 from __future__ import annotations
 
@@ -24,8 +26,9 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import factorial
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from . import _linalg as la
 from ._record import Record
@@ -48,17 +51,19 @@ from .symmetric_group import (
 GROUP_SUM_LIMIT = 7
 
 
-class Orbits(Record, fields=("bases", "rows", "counts")):
+class Orbits(Record, fields=("indices", "columns", "counts")):
     """The orbits of an action, found by _orbits.
 
-    bases[i] is the least index b of i's orbit and rows[i] is rho(g) for a g
-    with rho(g)[b] == i; counts[b][mu, k] is the number of sigma of cycle
-    type mu with rho(sigma)[b] == k.
+    indices[b] lists the indices of the orbit whose least index is b, in
+    search order, b first.  With g_i a transversal element, rho(g_i)[b] ==
+    i, columns[b][p][q] is rho(g_i)[k] for i = indices[b][q] and k =
+    indices[b][p].  counts[b][mu, k] is the number of sigma of cycle type mu
+    with rho(sigma)[b] == k.
     """
 
-    def __init__(self, bases: tuple[int, ...], rows: tuple[tuple[int, ...], ...],
-                 counts: dict[int, Counter]):
-        self.__dict__.update(bases=bases, rows=rows, counts=counts)
+    def __init__(self, indices: dict[int, tuple[int, ...]],
+                 columns: dict[int, tuple[tuple[int, ...], ...]], counts: dict[int, Counter]):
+        self.__dict__.update(indices=indices, columns=columns, counts=counts)
 
 
 class ActionSpace:
@@ -101,7 +106,7 @@ class ActionSpace:
 
     @cached_property
     def orbits(self) -> Orbits:
-        """Orbit bases, transversal rows and column counts; see _orbits."""
+        """Orbit indices, transversal columns and column counts; see _orbits."""
         return _orbits(self)
 
 
@@ -138,18 +143,19 @@ def _orbits(space: ActionSpace) -> Orbits:
     checked, so f is a function on S_n with f(w) = rho(w)[b] for every word w
     in the generators.  Two words equal in S_n therefore move each index
     rho(w_i)[b] of the orbit alike: the generator moves define a
-    homomorphism.  The orbit search walks the indices from b and composes the
-    row rho(g_i) of one transversal element per index.  Each class
-    representative r is then checked against act at every index i as
-    rho(r)[i] = f(r o g_i).
+    homomorphism.  The orbit search walks the indices from b, one
+    transversal element g_i per index.  Each class representative r is then
+    checked against act at every index i as rho(r)[i] = f(r o g_i).  Last,
+    rho(g_i) restricted to the orbit is composed along the search, and these
+    rows are turned into the orbit's columns.
     """
     n, dim, moves = space.n, space.dim, space.generator_moves
     elements, position, steps = _cayley_graph(n)
     classes = [cycle_type(Permutation(sigma)) for sigma in elements]
     reps = [(mu, class_representative(mu).images, move) for mu, move in space.class_moves.items()]
-    bases, rows, counts = [-1] * dim, [()] * dim, {}
+    seen, indices, columns, counts = [False] * dim, {}, {}, {}
     for b in range(dim):
-        if bases[b] >= 0:
+        if seen[b]:
             continue
         column = [b] + [-1] * (len(elements) - 1)
         for p, x in enumerate(column):  # column[p] was set from an earlier position
@@ -160,13 +166,13 @@ def _orbits(space: ActionSpace) -> Orbits:
                 elif column[q] != y:
                     raise ValueError(f"action {space.name!r} is not a homomorphism of S_{n}")
         counts[b] = Counter(zip(classes, column))
-        bases[b], rows[b] = b, tuple(range(dim))
-        orbit, where = [b], {b: 0}  # where[i]: the position of g_i
+        seen[b] = True
+        orbit, where, parent = [b], {b: 0}, {}  # where[i]: the position of g_i
         for i in orbit:
             for step, move in zip(steps, moves):
                 j = move[i]
-                if bases[j] < 0:  # j != b, so dim > 1 and itemgetter gives a tuple
-                    bases[j], rows[j] = b, itemgetter(*rows[i])(move)
+                if not seen[j]:
+                    seen[j], parent[j] = True, (i, move)
                     where[j] = step[where[i]]
                     orbit.append(j)
         for i in orbit:
@@ -174,21 +180,34 @@ def _orbits(space: ActionSpace) -> Orbits:
                 if column[position[tuple(map(r.__getitem__, elements[where[i]]))]] != move[i]:
                     raise ValueError(f"action {space.name!r}: the generated action "
                                      f"disagrees with act on class {mu}")
-    _check_transversal(space, bases, rows)
-    return Orbits(tuple(bases), tuple(rows), counts)
+        rows = {b: tuple(orbit)}  # rho(g_i) on the orbit, in orbit order: parents first
+        for j in orbit[1:]:  # j != b, so the orbit has two indices and itemgetter gives a tuple
+            i, move = parent[j]
+            rows[j] = itemgetter(*rows[i])(move)
+        indices[b], columns[b] = tuple(orbit), tuple(zip(*rows.values()))
+    _check_transversal(space, indices, columns)
+    return Orbits(indices, columns, counts)
 
 
-def _check_transversal(space: ActionSpace, bases: Sequence[int],
-                       rows: Sequence[Sequence[int]]) -> None:
-    """Raise ValueError unless the row of each index i sends i's base to i."""
+def _check_transversal(space: ActionSpace, indices: dict[int, Sequence[int]],
+                       columns: dict[int, Sequence[Sequence[int]]]) -> None:
+    """Raise ValueError unless the orbits partition the indices and each g_i sends i's base to i.
+
+    An orbit lists its base b first and has one column per index, each with
+    one entry per index; the column of b lists rho(g_i)[b] for the indices
+    i, which must be the indices themselves.
+    """
     dim = space.dim
-    if len(bases) != dim or len(rows) != dim:
-        raise ValueError(f"action {space.name!r}: a transversal needs {dim} bases and rows")
-    for i, (b, row) in enumerate(zip(bases, rows)):
-        if not (0 <= b < dim and len(row) == dim and row[b] == i):
+    if sorted(i for orbit in indices.values() for i in orbit) != list(range(dim)):
+        raise ValueError(f"action {space.name!r}: the transversal's orbits do not "
+                         f"partition the indices 0..{dim - 1}")
+    for b, orbit in indices.items():
+        cols, m = columns.get(b, ()), len(orbit)
+        if not (m and orbit[0] == b and len(cols) == m and all(len(col) == m for col in cols)
+                and tuple(cols[0]) == tuple(orbit)):
             raise ValueError(
-                f"action {space.name!r}: the transversal row for index {i} "
-                f"does not send its base {b} to it"
+                f"action {space.name!r}: the transversal columns of the orbit of {b} "
+                f"do not send its base to each of its indices"
             )
 
 
@@ -283,18 +302,30 @@ def isotypic_projector(space: ActionSpace, lam: Partition) -> la.Matrix:
     P = (dim lam / n!) * sum over sigma of chi_lam(sigma) * rho(sigma).  P
     commutes with the action, so with g the transversal element carrying the
     base b of i's orbit to i, P[i][rho(g)[k]] = P[b][k]: row i is the base
-    row permuted by rho(g).
+    row permuted by rho(g), read off the transversal columns.
     """
     rows = _base_rows(space, lam)
     orbits, dim = space.orbits, space.dim
     factor = Fraction(specht_dimension(lam), factorial(space.n))
-    out = []
-    for b, move in zip(orbits.bases, orbits.rows):
-        row = [0] * dim
-        for j, x in zip(move, rows[b]):
-            row[j] = x
-        out.append(tuple(factor * x for x in row))
-    return tuple(out)
+    out = [[0] * dim for _ in range(dim)]
+    for b, orbit in orbits.indices.items():
+        targets = [out[i] for i in orbit]
+        for k, column in zip(orbit, orbits.columns[b]):
+            x = rows[b][k]
+            for row, j in zip(targets, column):
+                row[j] = x
+    return tuple(tuple(factor * x for x in row) for row in out)
+
+
+def _gathered(w: Sequence[int], columns: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """w at the indices of each column, one tuple per column.
+
+    itemgetter of a single index returns the item, not a 1-tuple, so the
+    columns of a one-index orbit are read directly.
+    """
+    if len(columns[0]) == 1:
+        return [(w[col[0]],) for col in columns]
+    return [itemgetter(*col)(w) for col in columns]
 
 
 def project_vector(v: Sequence, space: ActionSpace, lam: Partition) -> la.Vector:
@@ -302,20 +333,30 @@ def project_vector(v: Sequence, space: ActionSpace, lam: Partition) -> la.Vector
 
     With w = D*v in integers (D the lcm of v's denominators) and g, b as in
     isotypic_projector, entry i is (dim lam / (n! * D)) * sum over k of
-    base_row[k] * w[rho(g)[k]]: P v exactly, in dim**2 integer products.
-    The dense P is never built.
+    base_row[k] * w[rho(g)[k]]: P v exactly.  For each orbit, w is gathered
+    through the transversal column of every k with base_row[k] != 0, the
+    gathered columns are summed per distinct value c of the base row, and
+    the few sums are combined with their c.  The dense P is never built.
     """
     if len(v) != space.dim:
         raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
     rows = _base_rows(space, lam)
     orbits = space.orbits
     nums, den = la._scaled_ints(v)
-    pick = nums.__getitem__
     scale, den = specht_dimension(lam), factorial(space.n) * den
-    return tuple(
-        Fraction(scale * sum(map(mul, rows[b], map(pick, move))), den)
-        for b, move in zip(orbits.bases, orbits.rows)
-    )
+    out = [0] * space.dim
+    for b, orbit in orbits.indices.items():
+        row, by_value = rows[b], {}
+        for k, column in zip(orbit, orbits.columns[b]):
+            if row[k]:
+                by_value.setdefault(row[k], []).append(column)
+        total = [0] * len(orbit)
+        for c, columns in by_value.items():
+            sums = map(sum, zip(*_gathered(nums, columns)))
+            total = list(map(add, total, map(mul, repeat(c), sums)))
+        for i, x in zip(orbit, total):
+            out[i] = Fraction(scale * x, den)
+    return tuple(out)
 
 
 def is_equivariant_matrix(space: ActionSpace, matrix: Sequence[Sequence],

@@ -319,6 +319,40 @@ def test_catalogs_of_another_degree_are_rejected():
         scaling_report(rolo21, trad4, subspace_catalog("co4"))
 
 
+def test_catalogs_refuse_a_space_in_another_enumeration():
+    # the rolo4 catalog is written in the paper enumeration of build_ballot_space("rolo", 4);
+    # read in any other enumeration of the same 24 ballots its vectors mean something else
+    from cyclevote.ballots import BallotSpace
+    from cyclevote.representation import project_vector
+
+    cat = subspace_catalog("rolo4")
+    sign = next(e for e in cat.entries if e.label == "sign").vectors[0]
+    paper = build_ballot_space("rolo", 4)
+    canonical = build_ballot_space("rolo", 4, "canonical")
+    hand_built = BallotSpace("rolo", 4, "paper", paper.ballots[1:] + paper.ballots[:1])
+    for space in (canonical, hand_built):
+        # sign is not a sign vector of this enumeration, which a decomposition must not hide
+        assert project_vector(sign, space, Partition((1, 1, 1, 1))) != la.vec(sign)
+    assert [c.label for c in decompose_profile(profile(paper, sign), cat) if any(c.coefficients)] \
+        == ["sign"]
+
+    rolo21 = rule("rolo21")
+    for space, shown in ((canonical, "'canonical'"), (hand_built, "a hand-built BallotSpace")):
+        message = f"the rolo4 catalog is written in the 'paper' ordering, not {shown}"
+        with pytest.raises(ValueError, match=message):
+            decompose_profile(profile(space, sign), cat)
+        with pytest.raises(ValueError, match=message.replace("rolo4", "trad4")):
+            decompose_profile(profile(space, sign), subspace_catalog("trad4"))
+        # rolo21 with its columns reordered into this enumeration
+        columns = [paper.index_of(b) for b in space.ballots]
+        moved = ScoringMatrix("rolo21", rolo21.outcome_space, space,
+                              tuple(tuple(row[j] for j in columns) for row in rolo21.entries))
+        with pytest.raises(ValueError, match=message):
+            scaling_report(moved, cat)
+        with pytest.raises(ValueError, match=message):
+            catalog_for_space(space)
+
+
 def test_scaling_report_generic4():
     m = rule("generic4", 2, 1, 0)
     rep = scaling_report(m, subspace_catalog("co4"))
@@ -615,8 +649,8 @@ _RECORDS = {
                                                         {Partition((3,)): 1}),
                             f"DecompositionReport(n=3, multiplicities={{{_P3}: 1}}, "
                             f"dims={{{_P3}: 1}})", False),
-    "Orbits": (lambda: Orbits((0,), ((0,),), {0: {}}),
-               "Orbits(bases=(0,), rows=((0,),), counts={0: {}})", False),
+    "Orbits": (lambda: Orbits({0: (0,)}, {0: ((0,),)}, {0: {}}),
+               "Orbits(indices={0: (0,)}, columns={0: ((0,),)}, counts={0: {}})", False),
     "ScoringMatrix": (lambda: ScoringMatrix("r", CO3, CO3, ((Fraction(2),),)),
                       f"ScoringMatrix(rule_name='r', outcome_space={_CO3_REPR}, "
                       f"ballot_space={_CO3_REPR}, entries=((Fraction(2, 1),),))", False),

@@ -24,6 +24,9 @@ FILES = {
     "rolo4.tsv": "A|D,C\t3\nB|C,D\t-1\nC|B,A\t1/2\nA|C,B\t2\nD|C,B\t-5/3\n",
     "trad4.tsv": "AB-DA\t3\nAB-CB\t-1\nAC-BA\t1/2\nAD-CA\t2\nAB-AC\t-5/3\n",
     "seeds_rolo4.txt": "A|D,C (ACBD) 2\nA|D,C (ADBC) 1/2\nA|D,C (ABCD) -1\n",
+    "cyclic5.tsv": "(ABCDE)\t2\n(ABDCE)\t-1/3\n(ACEDB)\t5/4\n(AEBCD)\t-2\n",
+    "cyclic6.tsv": "(ABCDEF)\t3\n(ABCDFE)\t-1/2\n(ACEBDF)\t2/3\n(AFEDCB)\t-4\n(ADBFCE)\t7/5\n",
+    "rolo5.tsv": "A|B,C\t2\nA|C,B\t-1/2\nB|D,E\t3/4\nE|C,A\t-2\nD|A,B\t5/3\n",
 }
 
 _RULES = (
@@ -55,6 +58,11 @@ def _cases() -> dict[str, list[str]]:
     cases["project-rolo4-canonical"] = [
         "project", "--space", "rolo", "--n", "4", "--ordering", "canonical",
         "--partition", "3+1", "--profile", "{dir}/rolo4.tsv"]
+    for space, n, lam in (("cyclic", "6", "3+2+1"), ("cyclic", "5", "3+1+1"),
+                          ("rolo", "5", "3+1+1")):
+        cases[f"project-{space}{n}-{lam}"] = [
+            "project", "--space", space, "--n", n, "--partition", lam,
+            "--profile", f"{{dir}}/{space}{n}.tsv"]
     for family, params in _RULES:
         cases[f"matrix-{family}"] = ["matrix", "--rule", family, "--params", params]
     for ordering in ("paper", "canonical"):

@@ -244,7 +244,7 @@ def test_projector_on_a_space_with_several_orbits():
     # sizes 1, 6 and 24, based at indices 0, 1 and 7
     point = ActionSpace(1, 4, lambda s, i: i)
     space = _direct_sum(point, _fresh_action("cyclic", 4, "paper"), _fresh_action("trad", 4))
-    assert space.orbits.bases == (0,) + (1,) * 6 + (7,) * 24
+    assert {b: len(orbit) for b, orbit in space.orbits.indices.items()} == {0: 1, 1: 6, 7: 24}
     v = _seeded_vector("several orbits", space.dim)
     acc = la.zeros(space.dim)
     for lam in partitions(4):
@@ -258,24 +258,29 @@ def test_projector_on_a_space_with_several_orbits():
 
 def test_transversal_rows_send_each_base_to_its_index():
     space = _fresh_action("rolo", 4, "paper")
-    bases, rows = space.orbits.bases, space.orbits.rows
-    assert bases == (0,) * space.dim
-    assert all(row[b] == i for i, (b, row) in enumerate(zip(bases, rows)))
-    representation._check_transversal(space, bases, rows)
+    orbits = space.orbits
+    assert list(orbits.indices) == [0]
+    orbit, columns = orbits.indices[0], orbits.columns[0]
+    assert sorted(orbit) == list(range(space.dim)) and orbit[0] == 0
+    # row q of the columns is rho(g_i) on the orbit, i = orbit[q]: it sends the base 0 to i
+    assert all(row[0] == i for i, row in zip(orbit, zip(*columns)))
+    representation._check_transversal(space, orbits.indices, orbits.columns)
 
 
 @pytest.mark.parametrize("spoil", ["swapped rows", "wrong base", "short"])
 def test_transversal_postcondition_is_checked(spoil):
     space = _fresh_action("cyclic", 4, "paper")
-    bases, rows = space.orbits.bases, space.orbits.rows
-    if spoil == "swapped rows":
-        rows = (rows[1], rows[0]) + rows[2:]
-    elif spoil == "wrong base":
-        bases = (1,) + bases[1:]
-    else:
-        bases, rows = bases[:-1], rows[:-1]
+    indices, columns = space.orbits.indices, space.orbits.columns
+    if spoil == "swapped rows":  # g_i and g_j exchanged for the first two indices i, j
+        columns = {b: tuple((col[1], col[0]) + col[2:] for col in cols)
+                   for b, cols in columns.items()}
+    elif spoil == "wrong base":  # the orbit of 0 filed under 1
+        indices, columns = {1: indices[0]}, {1: columns[0]}
+    else:  # the last index of the orbit dropped, with its column and its entry in each column
+        indices = {b: orbit[:-1] for b, orbit in indices.items()}
+        columns = {b: tuple(col[:-1] for col in cols[:-1]) for b, cols in columns.items()}
     with pytest.raises(ValueError, match="transversal"):
-        representation._check_transversal(space, bases, rows)
+        representation._check_transversal(space, indices, columns)
 
 
 # -- the table search of all of S_n as the oracle for the orbit searches ----
@@ -316,6 +321,10 @@ def _table_oracle(space):
     return table
 
 
+_ORACLE_NAMES = ["cyclic 4 paper", "cyclic 5 paper", "cyclic 6 canonical", "rolo 4 paper",
+                 "rolo 5 canonical", "rolo 6 canonical", "trad 4 canonical", "several orbits"]
+
+
 def _oracle_space(name):
     if name == "several orbits":
         point = ActionSpace(1, 4, lambda s, i: i)
@@ -324,27 +333,71 @@ def _oracle_space(name):
     return _fresh_action(kind, int(n), ordering)
 
 
-@pytest.mark.parametrize("name", [
-    "cyclic 4 paper", "cyclic 5 paper", "cyclic 6 canonical", "rolo 4 paper",
-    "rolo 5 canonical", "rolo 6 canonical", "trad 4 canonical", "several orbits",
-])
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
 def test_orbits_match_the_table_oracle(name):
     space = _oracle_space(name)
     table = _table_oracle(space)
     orbits = space.orbits
-    # the base of an orbit is its least index, and each row is the table row
-    # of some element carrying that base to the row's index
-    assert orbits.bases == tuple(min(row[i] for row in table.values()) for i in range(space.dim))
-    rows = set(table.values())
-    for i, (b, row) in enumerate(zip(orbits.bases, orbits.rows)):
-        assert row in rows and row[b] == i, i
-    classes = {sigma: cycle_type(Permutation(sigma)) for sigma in table}
+    # the base of an orbit is its least index, and each row of its columns is
+    # the table row, on the orbit, of some element carrying that base to the
+    # row's index
+    bases = _table_bases(table, space.dim)
+    assert {b: sorted(orbit) for b, orbit in orbits.indices.items()} == \
+        {b: [i for i, c in enumerate(bases) if c == b] for b in set(bases)}
+    for b, orbit in orbits.indices.items():
+        assert orbit[0] == b
+        restricted = {tuple(row[k] for k in orbit) for row in table.values()}
+        for i, row in zip(orbit, zip(*orbits.columns[b])):
+            assert row in restricted and row[0] == i, i
     for lam in partitions(space.n):
-        expected = {b: [0] * space.dim for b in set(orbits.bases)}
-        for sigma, row in table.items():
-            for b, base_row in expected.items():
-                base_row[row[b]] += irreducible_character(lam, classes[sigma])
+        expected = _table_base_rows(table, bases, lam)
         assert representation._base_rows(space, lam) == expected, lam
+
+
+def _table_bases(table, dim):
+    """The least index of each index's orbit, read off the group table."""
+    return tuple(min(row[i] for row in table.values()) for i in range(dim))
+
+
+def _table_base_rows(table, bases, lam):
+    """n!/dim lam times the projector row of each orbit base, summed over the table."""
+    dim = len(bases)
+    char_of = {sigma: irreducible_character(lam, cycle_type(Permutation(sigma))) for sigma in table}
+    rows = {b: [0] * dim for b in set(bases)}
+    for sigma, row in table.items():
+        for b, base_row in rows.items():
+            base_row[row[b]] += char_of[sigma]
+    return rows
+
+
+def _base_row_dot(v, table, lam):
+    """P v as one integer dot product per index: base row times w permuted by a table row.
+
+    Row i of P is the base row of i's orbit permuted by rho(g) for any g in
+    the table carrying the base b to i, so entry i is
+    (dim lam / (n! D)) * sum over k of base_row[k] * w[rho(g)[k]], with
+    w = D v in integers.
+    """
+    dim = len(v)
+    bases = _table_bases(table, dim)
+    base_rows = _table_base_rows(table, bases, lam)
+    carry = {row[b]: row for b in set(bases) for row in table.values()}
+    nums, den = la._scaled_ints(v)
+    scale, den = specht_dimension(lam), factorial(lam.n) * den
+    return tuple(
+        Fraction(scale * sum(base_rows[bases[i]][k] * nums[carry[i][k]] for k in range(dim)), den)
+        for i in range(dim)
+    )
+
+
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
+def test_project_vector_matches_the_base_row_dot(name):
+    space = _oracle_space(name)
+    table = _table_oracle(space)
+    v = _seeded_vector(f"base row dot {name}", space.dim)
+    assert any(x.denominator > 1 for x in v)
+    for lam in partitions(space.n):
+        assert project_vector(v, space, lam) == _base_row_dot(v, table, lam), lam
 
 
 def _relabelled_action(rng, n):
