@@ -10,6 +10,7 @@ prints its error alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -68,7 +69,8 @@ def _add_rule_flags(p: _Parser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cyclevote", description=__doc__)
-    parser.add_argument("--max-n", type=int, default=7, help="cap on n!-sized loops")
+    parser.add_argument("--max-n", type=int, default=7,
+                        help="cap on the n of the CLI's own enumerations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orders", help="list all cyclic orders for one n")
@@ -269,6 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             _COMMANDS[args.command](args)
+            sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+    except BrokenPipeError:  # `| head` had all it wanted; the last flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError, ZeroDivisionError) as exc:
         _report("error", exc)
         return 2

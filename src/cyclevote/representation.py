@@ -4,30 +4,22 @@ An ActionSpace is any finite basis with an S_n action by index permutation;
 every ballots.BallotSpace is one, acting on the indices of its own
 enumeration, so the functions here take a ballot space as it is.  Its
 character counts fixed basis elements per conjugacy class; inner products
-with the irreducible characters give multiplicities, and group averaging with
-irreducible character weights gives the exact rational projector onto each
-isotypic component.
+with the irreducible characters give multiplicities.
 
 The action is read from ``act`` once per generator and once per class
-representative.  The projector P commutes with the action, so
-P[rho(g)[i]][rho(g)[j]] = P[i][j]: row i is the base row of i's orbit
-permuted by rho(g_i), for a transversal element g_i carrying the base to i.
-Two checked breadth-first searches per orbit (_orbits), one over all n!
-elements of S_n and one over the orbit, give the transversal, stored by
-column, and the per-class counts from which each base row is summed in
-integers.  A projection gathers the vector through each transversal column
-and sums the gathered columns per distinct value of the base row, not an
-n!-term sum; the search over S_n caps projections at small degrees
-(GROUP_SUM_LIMIT).
+representative and checked by the Coxeter relations; no element of S_n is
+enumerated (_transposition_moves).  Central sums of transpositions act on
+each isotypic component by a scalar, so products of them project onto one
+(_base_rows).  A projection gathers the vector through transversal columns
+(_orbits) and sums the gathered columns per distinct value of a base row.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cached_property
-from itertools import repeat
-from math import factorial
+from functools import cached_property, reduce
+from itertools import accumulate, combinations_with_replacement, repeat
+from math import factorial, prod
 from operator import add, itemgetter, mul
 
 from . import _linalg as la
@@ -38,32 +30,30 @@ from .symmetric_group import (
     Permutation,
     class_function,
     class_representative,
-    cycle_type,
     enumerate_classes,
     generators,
     irreducible_character,
     one_partition,
     partitions,
     specht_dimension,
+    transposition,
 )
+from .symmetric_group import cycle_type  # noqa: F401  unused; bench/ wraps it (ROADMAP B1, B2)
 
-#: Degrees above this make a search over all n! elements of S_n unreasonable.
+#: The transversal columns hold sum |orbit|^2 indices: 518 400 at cyclic n=7, 25.4 M at n=8.
 GROUP_SUM_LIMIT = 7
 
 
-class Orbits(Record, fields=("indices", "columns", "counts")):
+class Orbits(Record, fields=("indices", "columns")):
     """The orbits of an action, found by _orbits.
 
-    indices[b] lists the indices of the orbit whose least index is b, in
-    search order, b first.  With g_i a transversal element, rho(g_i)[b] ==
-    i, columns[b][p][q] is rho(g_i)[k] for i = indices[b][q] and k =
-    indices[b][p].  counts[b][mu, k] is the number of sigma of cycle type mu
-    with rho(sigma)[b] == k.
+    indices[b] lists the indices of the orbit whose least index is b, in search
+    order, b first.  With g_i a transversal element, rho(g_i)[b] == i,
+    columns[b][p][q] is rho(g_i)[k] for i = indices[b][q] and k = indices[b][p].
     """
 
-    def __init__(self, indices: dict[int, tuple[int, ...]],
-                 columns: dict[int, tuple[tuple[int, ...], ...]], counts: dict[int, Counter]):
-        self.__dict__.update(indices=indices, columns=columns, counts=counts)
+    def __init__(self, indices: dict[int, tuple[int, ...]], columns: dict[int, tuple]):
+        self.__dict__.update(indices=indices, columns=columns)
 
 
 class ActionSpace:
@@ -89,9 +79,8 @@ class ActionSpace:
         """act(sigma, i) for every index i, checked to permute 0..dim-1."""
         move = tuple(self.act(sigma, i) for i in range(self.dim))
         if sorted(move) != list(range(self.dim)):
-            raise ValueError(
-                f"action {self.name!r}: {sigma} does not permute the indices 0..{self.dim - 1}"
-            )
+            raise ValueError(f"action {self.name!r}: {sigma} does not permute the indices "
+                             f"0..{self.dim - 1}")
         return move
 
     @cached_property
@@ -105,88 +94,89 @@ class ActionSpace:
         return {mu: self.moves(class_representative(mu)) for mu in partitions(self.n)}
 
     @cached_property
+    def multiplicities(self) -> dict[Partition, int]:
+        """The multiplicity of each irreducible in the action; see decompose_character."""
+        return decompose_character(space_character(self)).multiplicities
+
+    @cached_property
+    def transposition_moves(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per k = 1..n-1, the index permutations of (i k), i < k; see _transposition_moves."""
+        return _transposition_moves(self)
+
+    @cached_property
     def orbits(self) -> Orbits:
-        """Orbit indices, transversal columns and column counts; see _orbits."""
+        """Orbit indices and transversal columns; see _orbits."""
         return _orbits(self)
 
 
-def _cayley_graph(n: int) -> tuple[list, dict, list]:
-    """S_n in breadth-first order from the identity, stepping sigma -> g o sigma.
+def _after(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p after q on index tuples: the result maps i to p[q[i]]."""
+    return tuple(map(p.__getitem__, q))
 
-    Returns the elements' images, their positions, and per generator g the
-    position of g o sigma at each position of sigma.  Raises unless the
-    generators reach all n! elements.
+
+def _transposition_moves(space: ActionSpace) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per k = 1..n-1, the moves of the transpositions (i k), i < k, of a checked action.
+
+    An element is one tuple: its images on the labels, then n + its move.  With
+    generators(n) = (t, c), s_i = c^i t c^-i must be (i i+1).  The s_i meet the
+    Coxeter relations (s_i s_j)^m = 1, m = 1, 3 or 2 as |i-j| is 0, 1 or more,
+    at every index, so the moves define an action of S_n; t, c and each class
+    representative, as words in the s_i, must match their moves.  Conjugating,
+    (i k) = s_{k-1} (i k-1) s_{k-1} gives the rest, in O(n^2 dim) work.
     """
-    gens = [g.images for g in generators(n)]
-    elements = [tuple(range(n))]
-    position = {elements[0]: 0}
-    steps: list[list[int]] = [[] for _ in gens]
-    for sigma in elements:  # elements grows while it is read: a queue
-        for g, step in zip(gens, steps):
-            tau = tuple(map(g.__getitem__, sigma))
-            if tau not in position:
-                position[tau] = len(elements)
-                elements.append(tau)
-            step.append(position[tau])
-    if len(elements) != factorial(n):
-        raise ValueError(
-            f"the generators reached {len(elements)} of the {factorial(n)} permutations of S_{n}"
-        )
-    return elements, position, steps
+    n, name = space.n, space.name
+    t, c = (g.images + tuple(n + j for j in move)
+            for g, move in zip(generators(n), space.generator_moves))
+    one, inverse = tuple(range(len(c))), tuple(sorted(range(len(c)), key=c.__getitem__))
+    s = [t][:n - 1]  # s_0 = t for n >= 2
+    while len(s) < n - 1:
+        s.append(_after(c, _after(s[-1], inverse)))
+    if [si[:n] for si in s] != [transposition(n, i, i + 1).images for i in range(n - 1)]:
+        raise ValueError(f"generators({n}) do not conjugate to the adjacent transpositions")
+    hom = f"action {name!r} is not a homomorphism of S_{n}"
+    checks = [([i, j] * (1 if i == j else 3 if j == i + 1 else 2), one, hom)
+              for i, j in combinations_with_replacement(range(n - 1), 2)]
+    checks += [([0][:n - 1], t, hom), (range(n - 1), c, hom)]
+    # class_representative(mu) fills its cycles with runs of labels: s_a for a, a+1 in one cycle
+    checks += [([a for a in range(n - 1) if a + 1 not in accumulate(mu.parts)],
+                class_representative(mu).images + tuple(n + j for j in move),
+                f"action {name!r}: the generated action disagrees with act on class {mu}")
+               for mu, move in space.class_moves.items()]
+    for word, sigma, message in checks:
+        if reduce(_after, [s[a] for a in word], one) != sigma:
+            raise ValueError(message)
+    out: list[tuple[tuple[int, ...], ...]] = []
+    for sk in (tuple(j - n for j in si[n:]) for si in s):  # s_{k-1}; out[-1]: the (i k-1)
+        out.append(tuple(_after(sk, _after(m, sk)) for m in (out[-1] if out else ())) + (sk,))
+    return tuple(out)
 
 
 def _orbits(space: ActionSpace) -> Orbits:
-    """The orbits in index order, each by two breadth-first searches from its least index b.
+    """The orbits in index order, each by a breadth-first search from its least index b.
 
-    The column search walks _cayley_graph and keeps only f(sigma) =
-    rho(sigma)[b], using f(g o sigma) = rho(g)[f(sigma)].  Every edge is
-    checked, so f is a function on S_n with f(w) = rho(w)[b] for every word w
-    in the generators.  Two words equal in S_n therefore move each index
-    rho(w_i)[b] of the orbit alike: the generator moves define a
-    homomorphism.  The orbit search walks the indices from b, one
-    transversal element g_i per index.  Each class representative r is then
-    checked against act at every index i as rho(r)[i] = f(r o g_i).  Last,
-    rho(g_i) restricted to the orbit is composed along the search, and these
-    rows are turned into the orbit's columns.
+    rho(g_i) on the orbit is composed along the search, one transversal
+    element g_i per index, and these rows are turned into the columns.
     """
-    n, dim, moves = space.n, space.dim, space.generator_moves
-    elements, position, steps = _cayley_graph(n)
-    classes = [cycle_type(Permutation(sigma)) for sigma in elements]
-    reps = [(mu, class_representative(mu).images, move) for mu, move in space.class_moves.items()]
-    seen, indices, columns, counts = [False] * dim, {}, {}, {}
+    dim, moves = space.dim, space.generator_moves
+    space.transposition_moves  # raises unless the moves are a checked action of S_n
+    seen, indices, columns = [False] * dim, {}, {}
     for b in range(dim):
         if seen[b]:
             continue
-        column = [b] + [-1] * (len(elements) - 1)
-        for p, x in enumerate(column):  # column[p] was set from an earlier position
-            for step, move in zip(steps, moves):
-                q, y = step[p], move[x]
-                if column[q] < 0:
-                    column[q] = y
-                elif column[q] != y:
-                    raise ValueError(f"action {space.name!r} is not a homomorphism of S_{n}")
-        counts[b] = Counter(zip(classes, column))
-        seen[b] = True
-        orbit, where, parent = [b], {b: 0}, {}  # where[i]: the position of g_i
+        seen[b], orbit, parent = True, [b], {}
         for i in orbit:
-            for step, move in zip(steps, moves):
+            for move in moves:
                 j = move[i]
                 if not seen[j]:
                     seen[j], parent[j] = True, (i, move)
-                    where[j] = step[where[i]]
                     orbit.append(j)
-        for i in orbit:
-            for mu, r, move in reps:
-                if column[position[tuple(map(r.__getitem__, elements[where[i]]))]] != move[i]:
-                    raise ValueError(f"action {space.name!r}: the generated action "
-                                     f"disagrees with act on class {mu}")
         rows = {b: tuple(orbit)}  # rho(g_i) on the orbit, in orbit order: parents first
         for j in orbit[1:]:  # j != b, so the orbit has two indices and itemgetter gives a tuple
             i, move = parent[j]
             rows[j] = itemgetter(*rows[i])(move)
         indices[b], columns[b] = tuple(orbit), tuple(zip(*rows.values()))
     _check_transversal(space, indices, columns)
-    return Orbits(indices, columns, counts)
+    return Orbits(indices, columns)
 
 
 def _check_transversal(space: ActionSpace, indices: dict[int, Sequence[int]],
@@ -215,16 +205,12 @@ def character_inner_product(c1: ClassFunction, c2: ClassFunction) -> Fraction:
     """(1/n!) sum over classes of class_size * c1 * c2 (no conjugation needed)."""
     if c1.n != c2.n:
         raise ValueError(f"degree mismatch: {c1.n} vs {c2.n}")
-    total = sum(
-        (Fraction(size) * c1(mu) * c2(mu) for mu, size in enumerate_classes(c1.n)),
-        Fraction(0),
-    )
-    return total / factorial(c1.n)
+    return Fraction(sum(size * c1(mu) * c2(mu) for mu, size in enumerate_classes(c1.n)),
+                    factorial(c1.n))
 
 
 def space_character(space: ActionSpace) -> ClassFunction:
     """Fixed-point counts of the action, one value per conjugacy class."""
-
     moves = space.class_moves
     return class_function(space.n, lambda mu: sum(1 for i, j in enumerate(moves[mu]) if i == j))
 
@@ -240,10 +226,8 @@ class DecompositionReport(Record, fields=("n", "multiplicities", "dims")):
         return sum(m * self.dims[mu] for mu, m in self.multiplicities.items())
 
     def to_tsv(self) -> str:
-        lines = []
-        for mu in partitions(self.n):
-            m, d = self.multiplicities[mu], self.dims[mu]
-            lines.append(f"{mu}\t{m}\t{d}\t{m * d}")
+        rows = ((mu, self.multiplicities[mu], self.dims[mu]) for mu in partitions(self.n))
+        lines = [f"{mu}\t{m}\t{d}\t{m * d}" for mu, m, d in rows]
         lines.append(f"# dimension sum: {self.total_dim} == {self.total_dim}")
         return "\n".join(lines)
 
@@ -254,15 +238,13 @@ def decompose_character(chi: ClassFunction) -> DecompositionReport:
     Raises if any multiplicity comes out non-integral or negative, which
     signals that chi is not the character of a genuine module.
     """
-    mults: dict[Partition, int] = {}
-    dims: dict[Partition, int] = {}
+    mults, dims = {}, {}
     for lam in partitions(chi.n):
         lam_chi = class_function(chi.n, lambda mu: irreducible_character(lam, mu))
         m = character_inner_product(lam_chi, chi)
         if m.denominator != 1 or m < 0:
             raise ValueError(f"invalid character: multiplicity of {lam} is {m}")
-        mults[lam] = int(m)
-        dims[lam] = specht_dimension(lam)
+        mults[lam], dims[lam] = int(m), specht_dimension(lam)
     report = DecompositionReport(chi.n, mults, dims)
     if report.total_dim != chi(one_partition(chi.n)):
         raise ValueError(
@@ -272,13 +254,19 @@ def decompose_character(chi: ClassFunction) -> DecompositionReport:
     return report
 
 
+def _content_sums(lam: Partition) -> tuple[int, int]:
+    """The sums of lam's contents col - row and of their squares: p1's and p2's scalars on V_lam."""
+    contents = [col - row for row, part in enumerate(lam.parts) for col in range(part)]
+    return sum(contents), sum(x * x for x in contents)
+
+
 def _base_rows(space: ActionSpace, lam: Partition) -> dict[int, list[int]]:
     """n!/dim lam times the projector row of each orbit base b, in integers.
 
-    Row b of the sum over sigma of chi_lam(sigma) * rho(sigma) has at column
-    k the sum of chi_lam over the sigma with rho(sigma)[b] == k (chi(sigma) =
-    chi(sigma^-1)): a sum of the per-class counts over column b, weighted by
-    chi_lam.  The rows are cached on the space per partition.
+    The row is (n!/dim lam) P e_b, P the product over the other partitions mu
+    present of (C - c_mu)/(c_lam - c_mu): C is p1 = sum of X_k, or p2 = sum of
+    X_k^2 where p1's scalars agree (p1, p2 separate partitions of n <= 12), with
+    X_k = sum over i < k of (i k).  An absent lam gets zero rows; rows are cached.
     """
     if lam.n != space.n:
         raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
@@ -286,23 +274,35 @@ def _base_rows(space: ActionSpace, lam: Partition) -> dict[int, list[int]]:
         raise ValueError(f"degree {space.n} exceeds the group-sum cap {GROUP_SUM_LIMIT}")
     rows = space.base_rows.get(lam)
     if rows is None:
-        weight = {mu: irreducible_character(lam, mu) for mu in partitions(space.n)}
-        rows = {}
-        for b, counts in space.orbits.counts.items():
-            row = rows[b] = [0] * space.dim
-            for (mu, k), count in counts.items():
-                row[k] += weight[mu] * count
+        n, dim, moves, present = space.n, space.dim, space.transposition_moves, space.multiplicities
+        rows = {b: [0] * dim for b in space.orbits.indices}
+        target, scale = _content_sums(lam), factorial(n) // specht_dimension(lam)
+        others = [_content_sums(mu) for mu in partitions(n) if mu != lam and present[mu]]
+        factors = {(1, c[0]) if c[0] != target[0] else (2, c[1]) for c in others}  # (power, c_mu)
+        den = prod(target[power - 1] - c for power, c in factors)
+        for b, row in rows.items() if present[lam] else ():
+            x = [int(i == b) for i in range(dim)]
+            for power, c in factors:  # x <- (sum over k of X_k^power - c) x
+                ys = [x] * len(moves)  # X_k^(power-1) x; a transposition's move is an involution
+                for _ in range(power - 1):
+                    ys = [list(map(sum, zip(*_gathered(y, xk)))) for y, xk in zip(ys, moves)]
+                cx = map(sum, zip(*(g for y, xk in zip(ys, moves) for g in _gathered(y, xk))))
+                x = [a - c * z for a, z in zip(cx, x)]
+            row[:] = (scale * y for y in x)
+            if any(y % den for y in row):  # a remainder: the product is no projector
+                raise ValueError(f"action {space.name!r}: the central product for {lam} "
+                                 f"is not integral at base {b}")
+            row[:] = (y // den for y in row)
         space.base_rows[lam] = rows
     return rows
 
 
 def isotypic_projector(space: ActionSpace, lam: Partition) -> la.Matrix:
-    """Exact projector onto the lam-isotypic component, by group averaging.
+    """Exact projector onto the lam-isotypic component, as a dense matrix.
 
-    P = (dim lam / n!) * sum over sigma of chi_lam(sigma) * rho(sigma).  P
-    commutes with the action, so with g the transversal element carrying the
-    base b of i's orbit to i, P[i][rho(g)[k]] = P[b][k]: row i is the base
-    row permuted by rho(g), read off the transversal columns.
+    P commutes with the action, so with g the transversal element carrying
+    the base b of i's orbit to i, P[i][rho(g)[k]] = P[b][k]: row i is the
+    base row permuted by rho(g), read off the transversal columns.
     """
     rows = _base_rows(space, lam)
     orbits, dim = space.orbits, space.dim
@@ -368,7 +368,5 @@ def is_equivariant_matrix(space: ActionSpace, matrix: Sequence[Sequence],
     generators suffices, since they generate S_n.
     """
     pairs = zip(space.generator_moves, (columns or space).generator_moves)
-    return all(
-        matrix[rho[i]][tau[j]] == x
-        for rho, tau in pairs for i, row in enumerate(matrix) for j, x in enumerate(row)
-    )
+    return all(matrix[rho[i]][tau[j]] == x for rho, tau in pairs
+               for i, row in enumerate(matrix) for j, x in enumerate(row))

@@ -13,11 +13,12 @@ Murnaghan-Nakayama recursion.  All values are exact integers or rationals.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _words
-from math import factorial
+from math import factorial, prod
 
 from ._record import OrderedRecord, Record
 
@@ -157,14 +158,7 @@ def class_size(mu: Partition) -> int:
     >>> class_size(Partition((5,)))
     24
     """
-    n = mu.n
-    mult: dict[int, int] = {}
-    for part in mu.parts:
-        mult[part] = mult.get(part, 0) + 1
-    centralizer = 1
-    for k, m in mult.items():
-        centralizer *= k**m * factorial(m)
-    return factorial(n) // centralizer
+    return factorial(mu.n) // prod(k**m * factorial(m) for k, m in Counter(mu.parts).items())
 
 
 def enumerate_classes(n: int) -> list[tuple[Partition, int]]:

@@ -649,8 +649,8 @@ _RECORDS = {
                                                         {Partition((3,)): 1}),
                             f"DecompositionReport(n=3, multiplicities={{{_P3}: 1}}, "
                             f"dims={{{_P3}: 1}})", False),
-    "Orbits": (lambda: Orbits({0: (0,)}, {0: ((0,),)}, {0: {}}),
-               "Orbits(indices={0: (0,)}, columns={0: ((0,),)}, counts={0: {}})", False),
+    "Orbits": (lambda: Orbits({0: (0,)}, {0: ((0,),)}),
+               "Orbits(indices={0: (0,)}, columns={0: ((0,),)})", False),
     "ScoringMatrix": (lambda: ScoringMatrix("r", CO3, CO3, ((Fraction(2),),)),
                       f"ScoringMatrix(rule_name='r', outcome_space={_CO3_REPR}, "
                       f"ballot_space={_CO3_REPR}, entries=((Fraction(2, 1),),))", False),

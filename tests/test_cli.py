@@ -183,6 +183,22 @@ def test_duplicate_seed_warns_in_one_line(tmp_path):
     assert len(result.stdout.splitlines()) == 7  # header and the six outcomes
 
 
+def test_closed_reader_is_not_an_error():
+    # `cyclevote orders --n 7 | head -1` with the reader already gone: the
+    # writes fail with EPIPE, and the command still exits 0 and prints nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "cyclevote.cli", "orders", "--n", "7"],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                                timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 def test_cli_import_generates_no_code_and_no_catalog_fractions():
     # -S: no site hook imports anything before cyclevote does
     code = (

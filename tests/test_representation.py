@@ -2,7 +2,9 @@ import random
 from collections import deque
 from itertools import combinations
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -321,8 +323,9 @@ def _table_oracle(space):
     return table
 
 
-_ORACLE_NAMES = ["cyclic 4 paper", "cyclic 5 paper", "cyclic 6 canonical", "rolo 4 paper",
-                 "rolo 5 canonical", "rolo 6 canonical", "trad 4 canonical", "several orbits"]
+_ORACLE_NAMES = ["cyclic 4 paper", "cyclic 5 paper", "cyclic 6 canonical", "cyclic 7 canonical",
+                 "rolo 4 paper", "rolo 5 canonical", "rolo 6 canonical", "trad 4 canonical",
+                 "several orbits"]
 
 
 def _oracle_space(name):
@@ -341,7 +344,7 @@ def test_orbits_match_the_table_oracle(name):
     # the base of an orbit is its least index, and each row of its columns is
     # the table row, on the orbit, of some element carrying that base to the
     # row's index
-    bases = _table_bases(table, space.dim)
+    bases = _table_bases(table)
     assert {b: sorted(orbit) for b, orbit in orbits.indices.items()} == \
         {b: [i for i, c in enumerate(bases) if c == b] for b in set(bases)}
     for b, orbit in orbits.indices.items():
@@ -354,15 +357,20 @@ def test_orbits_match_the_table_oracle(name):
         assert representation._base_rows(space, lam) == expected, lam
 
 
-def _table_bases(table, dim):
+def _table_bases(table):
     """The least index of each index's orbit, read off the group table."""
-    return tuple(min(row[i] for row in table.values()) for i in range(dim))
+    return tuple(map(min, zip(*table.values())))
+
+
+@lru_cache(maxsize=None)
+def _class_of(images):
+    return cycle_type(Permutation(images))
 
 
 def _table_base_rows(table, bases, lam):
     """n!/dim lam times the projector row of each orbit base, summed over the table."""
     dim = len(bases)
-    char_of = {sigma: irreducible_character(lam, cycle_type(Permutation(sigma))) for sigma in table}
+    char_of = {sigma: irreducible_character(lam, _class_of(sigma)) for sigma in table}
     rows = {b: [0] * dim for b in set(bases)}
     for sigma, row in table.items():
         for b, base_row in rows.items():
@@ -370,7 +378,7 @@ def _table_base_rows(table, bases, lam):
     return rows
 
 
-def _base_row_dot(v, table, lam):
+def _base_row_dot(v, table, bases, lam):
     """P v as one integer dot product per index: base row times w permuted by a table row.
 
     Row i of P is the base row of i's orbit permuted by rho(g) for any g in
@@ -379,13 +387,12 @@ def _base_row_dot(v, table, lam):
     w = D v in integers.
     """
     dim = len(v)
-    bases = _table_bases(table, dim)
     base_rows = _table_base_rows(table, bases, lam)
     carry = {row[b]: row for b in set(bases) for row in table.values()}
     nums, den = la._scaled_ints(v)
     scale, den = specht_dimension(lam), factorial(lam.n) * den
     return tuple(
-        Fraction(scale * sum(base_rows[bases[i]][k] * nums[carry[i][k]] for k in range(dim)), den)
+        Fraction(scale * sum(map(mul, base_rows[bases[i]], map(nums.__getitem__, carry[i]))), den)
         for i in range(dim)
     )
 
@@ -396,8 +403,9 @@ def test_project_vector_matches_the_base_row_dot(name):
     table = _table_oracle(space)
     v = _seeded_vector(f"base row dot {name}", space.dim)
     assert any(x.denominator > 1 for x in v)
+    bases = _table_bases(table)
     for lam in partitions(space.n):
-        assert project_vector(v, space, lam) == _base_row_dot(v, table, lam), lam
+        assert project_vector(v, space, lam) == _base_row_dot(v, table, bases, lam), lam
 
 
 def _relabelled_action(rng, n):
@@ -462,6 +470,41 @@ def test_orbit_searches_accept_exactly_the_actions_the_table_accepts():
     assert 300 < sum(verdicts) < 1200
 
 
+def _verdicts(space):
+    """Whether the table oracle and the orbit search accept the action, in that order."""
+    accepted = []
+    for search in (_table_oracle, representation._orbits):
+        try:
+            search(space)
+            accepted.append(True)
+        except ValueError:
+            accepted.append(False)
+    return accepted
+
+
+def test_orbit_searches_agree_with_the_table_at_small_and_larger_degrees():
+    # at n <= 2 the two generators coincide and there are 0 or 1 adjacent
+    # transpositions; at n = 5 there are four
+    rng = random.Random(20260419)
+    verdicts = {1: [], 2: [], 5: []}
+    for draw in range(600):
+        n = rng.choice(sorted(verdicts))
+        moves = _relabelled_action(rng, n)
+        dim = len(next(iter(moves.values())))
+        if rng.random() < 0.5:
+            spoilt = rng.choice(sorted(moves))
+            moves[spoilt] = tuple(rng.sample(range(dim), dim))
+
+        def act(sigma, i, moves=moves):
+            return moves[sigma.images][i]
+
+        accepted = _verdicts(ActionSpace(dim, n, act, f"draw {draw}"))
+        assert accepted[0] == accepted[1], (draw, moves)
+        verdicts[n].append(accepted[0])
+    for n, seen in verdicts.items():
+        assert set(seen) == {True, False}, n
+
+
 def _moved(v, move):
     """rho(g) v for the index permutation move of g: entry j goes to move[j]."""
     out = [None] * len(v)
@@ -504,6 +547,17 @@ def test_functions_take_a_ballot_space_itself():
         assert component == project_vector(v, fresh, lam), lam
         acc = la.add(acc, component)
     assert acc == la.vec(v)
+
+
+def test_base_rows_must_come_out_integral(monkeypatch):
+    # a wrong scalar for p1 on the 2+2 component leaves that component in the product
+    content_sums = representation._content_sums
+    monkeypatch.setattr(representation, "_content_sums", lambda lam: tuple(
+        x + (lam == Partition((2, 2))) for x in content_sums(lam)))
+    space = _fresh_action("cyclic", 4, "paper")
+    with pytest.raises(ValueError, match="^action 'cyclic4': the central product for 4 is not "
+                                         "integral at base 0$"):
+        project_vector((1,) * space.dim, space, Partition((4,)))
 
 
 def test_base_rows_are_cached_per_partition():
@@ -580,7 +634,8 @@ def test_action_checked_against_act_on_class_representatives():
 def test_generators_must_reach_the_whole_group(monkeypatch):
     monkeypatch.setattr(representation, "generators", lambda n: (identity(n), identity(n)))
     space = ActionSpace(dim=2, n=3, act=lambda s, i: i)
-    with pytest.raises(ValueError, match="reached 1 of the 6"):
+    with pytest.raises(ValueError, match="^generators\\(3\\) do not conjugate to the adjacent "
+                                         "transpositions$"):
         isotypic_projector(space, Partition((3,)))
 
 
