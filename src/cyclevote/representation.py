@@ -8,19 +8,20 @@ with the irreducible characters give multiplicities.
 
 The action is read from ``act`` once per generator and once per class
 representative and checked by the Coxeter relations; no element of S_n is
-enumerated (_transposition_moves).  Central sums of transpositions act on
-each isotypic component by a scalar, so products of them project onto one
-(_base_rows).  A projection gathers the vector through transversal columns
-(_orbits) and sums the gathered columns per distinct value of a base row.
+enumerated (_transposition_moves).  The central sums p1 = sum of X_k and
+p2 = sum of X_k^2 of the Jucys-Murphy elements X_k = sum over i < k of (i k)
+act on each isotypic component by a scalar, so a product of them projects
+onto one.  project_vector applies that product to the vector itself, each
+X_k by gathering the vector through the moves of its transpositions.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, combinations_with_replacement, repeat
+from itertools import accumulate, combinations_with_replacement
 from math import factorial, prod
-from operator import add, itemgetter, mul
+from operator import itemgetter
 
 from . import _linalg as la
 from ._record import Record
@@ -40,36 +41,25 @@ from .symmetric_group import (
 )
 from .symmetric_group import cycle_type  # noqa: F401  unused; bench/ wraps it (ROADMAP B1, B2)
 
-#: The transversal columns hold sum |orbit|^2 indices: 518 400 at cyclic n=7, 25.4 M at n=8.
-GROUP_SUM_LIMIT = 7
-
-
-class Orbits(Record, fields=("indices", "columns")):
-    """The orbits of an action, found by _orbits.
-
-    indices[b] lists the indices of the orbit whose least index is b, in search
-    order, b first.  With g_i a transversal element, rho(g_i)[b] == i,
-    columns[b][p][q] is rho(g_i)[k] for i = indices[b][q] and k = indices[b][p].
-    """
-
-    def __init__(self, indices: dict[int, tuple[int, ...]], columns: dict[int, tuple]):
-        self.__dict__.update(indices=indices, columns=columns)
+#: Reads a vector through an index permutation: entry i of the result is entry move[i].
+Gather = Callable[[Sequence[int]], Sequence[int]]
 
 
 class ActionSpace:
     """A basis 0..dim-1 with an S_n action: act(sigma, i) is an index.
 
-    The integer views of the action are computed on first use and cached on
-    the instance.  Spaces compare and hash by identity, so two spaces with
-    equal dim, n and name but different actions are unequal, and no cache is
-    shared between them.  A subclass such as ballots.BallotSpace sets the
-    fields through this constructor; nothing assigns to them afterwards.
+    The integer views of the action (the moves of the generators and class
+    representatives, the checked transposition gathers, the multiplicities)
+    are computed on first use and cached on the instance.  None depends on a
+    partition: a projection onto any lam applies its central product through
+    them.  Spaces compare and hash by identity, so two spaces with equal dim,
+    n and name but different actions are unequal, and no cache is shared
+    between them.  A subclass such as ballots.BallotSpace sets the fields
+    through this constructor; nothing assigns to them afterwards.
     """
 
     def __init__(self, dim: int, n: int, act: Callable[[Permutation, int], int], name: str = ""):
         self.dim, self.n, self.act, self.name = dim, n, act, name
-        # per partition, the integer projector row of each orbit base (filled by _base_rows)
-        self.base_rows: dict[Partition, dict[int, list[int]]] = {}
 
     def __repr__(self) -> str:
         return (f"{self.__class__.__qualname__}(dim={self.dim!r}, n={self.n!r}, "
@@ -99,14 +89,9 @@ class ActionSpace:
         return decompose_character(space_character(self)).multiplicities
 
     @cached_property
-    def transposition_moves(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per k = 1..n-1, the index permutations of (i k), i < k; see _transposition_moves."""
+    def transposition_moves(self) -> tuple[tuple[Gather, ...], ...]:
+        """Per k = 1..n-1, gathers through the moves of (i k), i < k; see _transposition_moves."""
         return _transposition_moves(self)
-
-    @cached_property
-    def orbits(self) -> Orbits:
-        """Orbit indices and transversal columns; see _orbits."""
-        return _orbits(self)
 
 
 def _after(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -114,15 +99,17 @@ def _after(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(p.__getitem__, q))
 
 
-def _transposition_moves(space: ActionSpace) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per k = 1..n-1, the moves of the transpositions (i k), i < k, of a checked action.
+def _transposition_moves(space: ActionSpace) -> tuple[tuple[Gather, ...], ...]:
+    """Per k = 1..n-1, gathers through the moves of the transpositions (i k), i < k.
 
     An element is one tuple: its images on the labels, then n + its move.  With
     generators(n) = (t, c), s_i = c^i t c^-i must be (i i+1).  The s_i meet the
     Coxeter relations (s_i s_j)^m = 1, m = 1, 3 or 2 as |i-j| is 0, 1 or more,
     at every index, so the moves define an action of S_n; t, c and each class
     representative, as words in the s_i, must match their moves.  Conjugating,
-    (i k) = s_{k-1} (i k-1) s_{k-1} gives the rest, in O(n^2 dim) work.
+    (i k) = s_{k-1} (i k-1) s_{k-1} gives the rest, in O(n^2 dim) work.  Each
+    move is returned as its itemgetter; a move of at most one index is the
+    identity, read by tuple, since itemgetter of one index returns the item.
     """
     n, name = space.n, space.name
     t, c = (g.images + tuple(n + j for j in move)
@@ -148,57 +135,7 @@ def _transposition_moves(space: ActionSpace) -> tuple[tuple[tuple[int, ...], ...
     out: list[tuple[tuple[int, ...], ...]] = []
     for sk in (tuple(j - n for j in si[n:]) for si in s):  # s_{k-1}; out[-1]: the (i k-1)
         out.append(tuple(_after(sk, _after(m, sk)) for m in (out[-1] if out else ())) + (sk,))
-    return tuple(out)
-
-
-def _orbits(space: ActionSpace) -> Orbits:
-    """The orbits in index order, each by a breadth-first search from its least index b.
-
-    rho(g_i) on the orbit is composed along the search, one transversal
-    element g_i per index, and these rows are turned into the columns.
-    """
-    dim, moves = space.dim, space.generator_moves
-    space.transposition_moves  # raises unless the moves are a checked action of S_n
-    seen, indices, columns = [False] * dim, {}, {}
-    for b in range(dim):
-        if seen[b]:
-            continue
-        seen[b], orbit, parent = True, [b], {}
-        for i in orbit:
-            for move in moves:
-                j = move[i]
-                if not seen[j]:
-                    seen[j], parent[j] = True, (i, move)
-                    orbit.append(j)
-        rows = {b: tuple(orbit)}  # rho(g_i) on the orbit, in orbit order: parents first
-        for j in orbit[1:]:  # j != b, so the orbit has two indices and itemgetter gives a tuple
-            i, move = parent[j]
-            rows[j] = itemgetter(*rows[i])(move)
-        indices[b], columns[b] = tuple(orbit), tuple(zip(*rows.values()))
-    _check_transversal(space, indices, columns)
-    return Orbits(indices, columns)
-
-
-def _check_transversal(space: ActionSpace, indices: dict[int, Sequence[int]],
-                       columns: dict[int, Sequence[Sequence[int]]]) -> None:
-    """Raise ValueError unless the orbits partition the indices and each g_i sends i's base to i.
-
-    An orbit lists its base b first and has one column per index, each with
-    one entry per index; the column of b lists rho(g_i)[b] for the indices
-    i, which must be the indices themselves.
-    """
-    dim = space.dim
-    if sorted(i for orbit in indices.values() for i in orbit) != list(range(dim)):
-        raise ValueError(f"action {space.name!r}: the transversal's orbits do not "
-                         f"partition the indices 0..{dim - 1}")
-    for b, orbit in indices.items():
-        cols, m = columns.get(b, ()), len(orbit)
-        if not (m and orbit[0] == b and len(cols) == m and all(len(col) == m for col in cols)
-                and tuple(cols[0]) == tuple(orbit)):
-            raise ValueError(
-                f"action {space.name!r}: the transversal columns of the orbit of {b} "
-                f"do not send its base to each of its indices"
-            )
+    return tuple(tuple(itemgetter(*m) if len(m) > 1 else tuple for m in ms) for ms in out)
 
 
 def character_inner_product(c1: ClassFunction, c2: ClassFunction) -> Fraction:
@@ -260,103 +197,51 @@ def _content_sums(lam: Partition) -> tuple[int, int]:
     return sum(contents), sum(x * x for x in contents)
 
 
-def _base_rows(space: ActionSpace, lam: Partition) -> dict[int, list[int]]:
-    """n!/dim lam times the projector row of each orbit base b, in integers.
-
-    The row is (n!/dim lam) P e_b, P the product over the other partitions mu
-    present of (C - c_mu)/(c_lam - c_mu): C is p1 = sum of X_k, or p2 = sum of
-    X_k^2 where p1's scalars agree (p1, p2 separate partitions of n <= 12), with
-    X_k = sum over i < k of (i k).  An absent lam gets zero rows; rows are cached.
-    """
-    if lam.n != space.n:
-        raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
-    if space.n > GROUP_SUM_LIMIT:
-        raise ValueError(f"degree {space.n} exceeds the group-sum cap {GROUP_SUM_LIMIT}")
-    rows = space.base_rows.get(lam)
-    if rows is None:
-        n, dim, moves, present = space.n, space.dim, space.transposition_moves, space.multiplicities
-        rows = {b: [0] * dim for b in space.orbits.indices}
-        target, scale = _content_sums(lam), factorial(n) // specht_dimension(lam)
-        others = [_content_sums(mu) for mu in partitions(n) if mu != lam and present[mu]]
-        factors = {(1, c[0]) if c[0] != target[0] else (2, c[1]) for c in others}  # (power, c_mu)
-        den = prod(target[power - 1] - c for power, c in factors)
-        for b, row in rows.items() if present[lam] else ():
-            x = [int(i == b) for i in range(dim)]
-            for power, c in factors:  # x <- (sum over k of X_k^power - c) x
-                ys = [x] * len(moves)  # X_k^(power-1) x; a transposition's move is an involution
-                for _ in range(power - 1):
-                    ys = [list(map(sum, zip(*_gathered(y, xk)))) for y, xk in zip(ys, moves)]
-                cx = map(sum, zip(*(g for y, xk in zip(ys, moves) for g in _gathered(y, xk))))
-                x = [a - c * z for a, z in zip(cx, x)]
-            row[:] = (scale * y for y in x)
-            if any(y % den for y in row):  # a remainder: the product is no projector
-                raise ValueError(f"action {space.name!r}: the central product for {lam} "
-                                 f"is not integral at base {b}")
-            row[:] = (y // den for y in row)
-        space.base_rows[lam] = rows
-    return rows
-
-
 def isotypic_projector(space: ActionSpace, lam: Partition) -> la.Matrix:
     """Exact projector onto the lam-isotypic component, as a dense matrix.
 
-    P commutes with the action, so with g the transversal element carrying
-    the base b of i's orbit to i, P[i][rho(g)[k]] = P[b][k]: row i is the
-    base row permuted by rho(g), read off the transversal columns.
+    P is symmetric, since each irreducible character of S_n is real, so row j
+    is P e_j, one project_vector per index.
     """
-    rows = _base_rows(space, lam)
-    orbits, dim = space.orbits, space.dim
-    factor = Fraction(specht_dimension(lam), factorial(space.n))
-    out = [[0] * dim for _ in range(dim)]
-    for b, orbit in orbits.indices.items():
-        targets = [out[i] for i in orbit]
-        for k, column in zip(orbit, orbits.columns[b]):
-            x = rows[b][k]
-            for row, j in zip(targets, column):
-                row[j] = x
-    return tuple(tuple(factor * x for x in row) for row in out)
-
-
-def _gathered(w: Sequence[int], columns: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """w at the indices of each column, one tuple per column.
-
-    itemgetter of a single index returns the item, not a 1-tuple, so the
-    columns of a one-index orbit are read directly.
-    """
-    if len(columns[0]) == 1:
-        return [(w[col[0]],) for col in columns]
-    return [itemgetter(*col)(w) for col in columns]
+    return tuple(project_vector([int(i == j) for i in range(space.dim)], space, lam)
+                 for j in range(space.dim))
 
 
 def project_vector(v: Sequence, space: ActionSpace, lam: Partition) -> la.Vector:
     """Component of v in the lam-isotypic part; components over all lam sum to v.
 
-    With w = D*v in integers (D the lcm of v's denominators) and g, b as in
-    isotypic_projector, entry i is (dim lam / (n! * D)) * sum over k of
-    base_row[k] * w[rho(g)[k]]: P v exactly.  For each orbit, w is gathered
-    through the transversal column of every k with base_row[k] != 0, the
-    gathered columns are summed per distinct value c of the base row, and
-    the few sums are combined with their c.  The dense P is never built.
+    P v is the product over the other partitions mu present of
+    (C - c_mu)/(c_lam - c_mu) applied to v: C is p1 = sum of X_k, or p2 = sum
+    of X_k^2 where p1's scalars agree, with X_k = sum over i < k of (i k), and
+    c_mu is C's scalar on V_mu.  The product runs in integers on w = D*v, D the
+    lcm of v's denominators, each X_k gathering the vector through the moves
+    of its transpositions; the dense P is never built.  An absent lam gives 0.
     """
     if len(v) != space.dim:
         raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
-    rows = _base_rows(space, lam)
-    orbits = space.orbits
-    nums, den = la._scaled_ints(v)
-    scale, den = specht_dimension(lam), factorial(space.n) * den
-    out = [0] * space.dim
-    for b, orbit in orbits.indices.items():
-        row, by_value = rows[b], {}
-        for k, column in zip(orbit, orbits.columns[b]):
-            if row[k]:
-                by_value.setdefault(row[k], []).append(column)
-        total = [0] * len(orbit)
-        for c, columns in by_value.items():
-            sums = map(sum, zip(*_gathered(nums, columns)))
-            total = list(map(add, total, map(mul, repeat(c), sums)))
-        for i, x in zip(orbit, total):
-            out[i] = Fraction(scale * x, den)
-    return tuple(out)
+    if lam.n != space.n:
+        raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
+    n, moves, present = space.n, space.transposition_moves, space.multiplicities
+    if not present[lam]:
+        return la.zeros(space.dim)
+    x, d = la._scaled_ints(v)
+    target, scale = _content_sums(lam), factorial(n) // specht_dimension(lam)
+    others = [_content_sums(mu) for mu in partitions(n) if mu != lam and present[mu]]
+    factors = {(1, c[0]) if c[0] != target[0] else (2, c[1]) for c in others}  # (power, c_mu)
+    den = prod(target[power - 1] - c for power, c in factors)
+    if not den:  # p1 and p2 together separate the partitions of n <= 14 only
+        raise ValueError(f"p1 and p2 do not separate {lam} from the other partitions present")
+    for power, c in factors:  # x <- (sum over k of X_k^power - c) x
+        ys = [x] * len(moves)  # X_k^(power-1) x; a transposition's move is an involution
+        for _ in range(power - 1):
+            ys = [list(map(sum, zip(*(g(y) for g in xk)))) for y, xk in zip(ys, moves)]
+        cx = map(sum, zip(*(g(y) for y, xk in zip(ys, moves) for g in xk)))
+        x = [a - c * z for a, z in zip(cx, x)]
+    # (n!/dim lam) P is the integer matrix sum over g of chi_lam(g) rho(g): a remainder
+    # means the product is no projector
+    if any(scale * y % den for y in x):
+        raise ValueError(f"action {space.name!r}: the central product for {lam} is not integral")
+    return tuple(Fraction(y, den * d) for y in x)
 
 
 def is_equivariant_matrix(space: ActionSpace, matrix: Sequence[Sequence],

@@ -29,7 +29,7 @@ from cyclevote.analysis import (
 )
 from cyclevote.ballots import RoloBallot, TradBallot, build_ballot_space, favorite_order
 from cyclevote.cyclic_orders import CyclicOrder, PairClass, parse_order
-from cyclevote.representation import ActionSpace, DecompositionReport, Orbits
+from cyclevote.representation import ActionSpace, DecompositionReport
 from cyclevote.scoring import FAMILY_ARITY, ScoringMatrix, build_neutral_matrix, rule
 from cyclevote.symmetric_group import ClassFunction, Partition, Permutation, parse_permutation
 from test_linalg import _bareiss_nullspace, _fraction_rref, dot, transpose
@@ -649,8 +649,6 @@ _RECORDS = {
                                                         {Partition((3,)): 1}),
                             f"DecompositionReport(n=3, multiplicities={{{_P3}: 1}}, "
                             f"dims={{{_P3}: 1}})", False),
-    "Orbits": (lambda: Orbits({0: (0,)}, {0: ((0,),)}),
-               "Orbits(indices={0: (0,)}, columns={0: ((0,),)})", False),
     "ScoringMatrix": (lambda: ScoringMatrix("r", CO3, CO3, ((Fraction(2),),)),
                       f"ScoringMatrix(rule_name='r', outcome_space={_CO3_REPR}, "
                       f"ballot_space={_CO3_REPR}, entries=((Fraction(2, 1),),))", False),

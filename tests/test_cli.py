@@ -242,12 +242,17 @@ def test_data_error_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "orders", "--n", "6", "--ordering", "paper")
     assert code == 2
-    # --max-n caps the CLI's own enumerations; projections keep their own cap
+    # --max-n caps the CLI's own enumerations, projections included: n=8 needs --max-n 8
     one = tmp_path / "one.tsv"
     one.write_text("(ABCDEFGH)\t1\n")
-    code, _, err = run(capsys, "--max-n", "8", "project", "--space", "cyclic", "--n", "8",
-                       "--partition", "8", "--profile", str(one))
-    assert code == 2 and err == "error: degree 8 exceeds the group-sum cap 7\n"
+    project8 = ("project", "--space", "cyclic", "--n", "8", "--partition", "8",
+                "--profile", str(one))
+    code, _, err = run(capsys, *project8)
+    assert code == 2 and err == "error: n=8 exceeds --max-n 7\n"
+    code, out, err = run(capsys, "--max-n", "8", *project8)
+    lines = out.splitlines()
+    assert code == 0 and err == "" and len(lines) == 5040 and lines[0] == "(ABCDEFGH)\t1/5040"
+    assert {line.split("\t")[1] for line in lines} == {"1/5040"}
 
 
 def test_deterministic_output(capsys):

@@ -173,11 +173,13 @@ def test_projected_components_sum_back():
     assert acc == la.vec(v)
 
 
-def test_degree_cap():
+def test_one_point_space_projects_onto_the_trivial_partition_at_n8_and_n9():
     for n in (8, 9):
-        big = ActionSpace(dim=1, n=n, act=lambda s, i: i)
-        with pytest.raises(ValueError, match=f"degree {n} exceeds the group-sum cap 7"):
-            isotypic_projector(big, Partition((n,)))
+        point = ActionSpace(dim=1, n=n, act=lambda s, i: i)
+        for lam in partitions(n):
+            expected = (Fraction(3, 2),) if lam == Partition((n,)) else (0,)
+            assert project_vector([Fraction(3, 2)], point, lam) == expected, lam
+        assert isotypic_projector(point, Partition((n,))) == ((1,),)
 
 
 def test_permutation_matrix_shape():
@@ -246,7 +248,6 @@ def test_projector_on_a_space_with_several_orbits():
     # sizes 1, 6 and 24, based at indices 0, 1 and 7
     point = ActionSpace(1, 4, lambda s, i: i)
     space = _direct_sum(point, _fresh_action("cyclic", 4, "paper"), _fresh_action("trad", 4))
-    assert {b: len(orbit) for b, orbit in space.orbits.indices.items()} == {0: 1, 1: 6, 7: 24}
     v = _seeded_vector("several orbits", space.dim)
     acc = la.zeros(space.dim)
     for lam in partitions(4):
@@ -258,34 +259,7 @@ def test_projector_on_a_space_with_several_orbits():
     assert acc == la.vec(v)
 
 
-def test_transversal_rows_send_each_base_to_its_index():
-    space = _fresh_action("rolo", 4, "paper")
-    orbits = space.orbits
-    assert list(orbits.indices) == [0]
-    orbit, columns = orbits.indices[0], orbits.columns[0]
-    assert sorted(orbit) == list(range(space.dim)) and orbit[0] == 0
-    # row q of the columns is rho(g_i) on the orbit, i = orbit[q]: it sends the base 0 to i
-    assert all(row[0] == i for i, row in zip(orbit, zip(*columns)))
-    representation._check_transversal(space, orbits.indices, orbits.columns)
-
-
-@pytest.mark.parametrize("spoil", ["swapped rows", "wrong base", "short"])
-def test_transversal_postcondition_is_checked(spoil):
-    space = _fresh_action("cyclic", 4, "paper")
-    indices, columns = space.orbits.indices, space.orbits.columns
-    if spoil == "swapped rows":  # g_i and g_j exchanged for the first two indices i, j
-        columns = {b: tuple((col[1], col[0]) + col[2:] for col in cols)
-                   for b, cols in columns.items()}
-    elif spoil == "wrong base":  # the orbit of 0 filed under 1
-        indices, columns = {1: indices[0]}, {1: columns[0]}
-    else:  # the last index of the orbit dropped, with its column and its entry in each column
-        indices = {b: orbit[:-1] for b, orbit in indices.items()}
-        columns = {b: tuple(col[:-1] for col in cols[:-1]) for b, cols in columns.items()}
-    with pytest.raises(ValueError, match="transversal"):
-        representation._check_transversal(space, indices, columns)
-
-
-# -- the table search of all of S_n as the oracle for the orbit searches ----
+# -- the table search of all of S_n as the oracle for the central products --
 
 def _table_oracle(space):
     """The index permutation of every element of S_n, keyed by its images.
@@ -338,23 +312,16 @@ def _oracle_space(name):
 
 @pytest.mark.parametrize("name", _ORACLE_NAMES)
 def test_orbits_match_the_table_oracle(name):
+    # n!/dim lam times the projection of e_b is the n!-term sum over the table
+    # of chi_lam(g) e_{rho(g)[b]}, for the least index b of each orbit
     space = _oracle_space(name)
     table = _table_oracle(space)
-    orbits = space.orbits
-    # the base of an orbit is its least index, and each row of its columns is
-    # the table row, on the orbit, of some element carrying that base to the
-    # row's index
     bases = _table_bases(table)
-    assert {b: sorted(orbit) for b, orbit in orbits.indices.items()} == \
-        {b: [i for i, c in enumerate(bases) if c == b] for b in set(bases)}
-    for b, orbit in orbits.indices.items():
-        assert orbit[0] == b
-        restricted = {tuple(row[k] for k in orbit) for row in table.values()}
-        for i, row in zip(orbit, zip(*orbits.columns[b])):
-            assert row in restricted and row[0] == i, i
     for lam in partitions(space.n):
-        expected = _table_base_rows(table, bases, lam)
-        assert representation._base_rows(space, lam) == expected, lam
+        scale = factorial(space.n) // specht_dimension(lam)
+        for b, expected in _table_base_rows(table, bases, lam).items():
+            e_b = [int(i == b) for i in range(space.dim)]
+            assert [scale * x for x in project_vector(e_b, space, lam)] == expected, (lam, b)
 
 
 def _table_bases(table):
@@ -459,7 +426,7 @@ def test_orbit_searches_accept_exactly_the_actions_the_table_accepts():
             return moves[sigma.images][i]
 
         accepted = []
-        for search in (_table_oracle, representation._orbits):
+        for search in (_table_oracle, representation._transposition_moves):
             try:
                 search(ActionSpace(dim, n, act, f"draw {draw}"))
                 accepted.append(True)
@@ -471,9 +438,9 @@ def test_orbit_searches_accept_exactly_the_actions_the_table_accepts():
 
 
 def _verdicts(space):
-    """Whether the table oracle and the orbit search accept the action, in that order."""
+    """Whether the table oracle and the Coxeter check accept the action, in that order."""
     accepted = []
-    for search in (_table_oracle, representation._orbits):
+    for search in (_table_oracle, representation._transposition_moves):
         try:
             search(space)
             accepted.append(True)
@@ -525,6 +492,26 @@ def test_cyclic_n7_components_sum_back_and_commute_with_the_generators():
     assert acc == la.vec(v)
 
 
+def test_cyclic_n8_component_commutes_with_the_generators_and_is_idempotent():
+    space = _fresh_action("cyclic", 8)
+    lam = Partition((4, 2, 1, 1))
+    v = _seeded_vector("cyclic 8", space.dim)
+    component = project_vector(v, space, lam)
+    assert any(component) and component != la.vec(v)
+    for move in space.generator_moves:
+        assert project_vector(_moved(v, move), space, lam) == _moved(component, move)
+    assert project_vector(component, space, lam) == component
+
+
+def test_rolo_n8_components_sum_back():
+    space = _fresh_action("rolo", 8)
+    v = _seeded_vector("rolo 8", space.dim)
+    acc = la.zeros(space.dim)
+    for lam in partitions(8):
+        acc = la.add(acc, project_vector(v, space, lam))
+    assert acc == la.vec(v)
+
+
 @pytest.mark.parametrize("kind", ["cyclic", "rolo"])
 def test_components_sum_back_at_n6(kind):
     space = action_space(build_ballot_space(kind, 6, "canonical"))
@@ -555,19 +542,21 @@ def test_base_rows_must_come_out_integral(monkeypatch):
     monkeypatch.setattr(representation, "_content_sums", lambda lam: tuple(
         x + (lam == Partition((2, 2))) for x in content_sums(lam)))
     space = _fresh_action("cyclic", 4, "paper")
+    e_0 = (1,) + (0,) * (space.dim - 1)
     with pytest.raises(ValueError, match="^action 'cyclic4': the central product for 4 is not "
-                                         "integral at base 0$"):
-        project_vector((1,) * space.dim, space, Partition((4,)))
+                                         "integral$"):
+        project_vector(e_0, space, Partition((4,)))
 
 
-def test_base_rows_are_cached_per_partition():
-    space = _fresh_action("cyclic", 5, "paper")
-    lam = Partition((3, 1, 1))
-    project_vector((1,) * space.dim, space, lam)
-    rows = space.base_rows[lam]
-    assert list(rows) == [0] and len(rows[0]) == space.dim
-    isotypic_projector(space, lam)
-    assert space.base_rows[lam] is rows
+def test_partitions_that_p1_and_p2_cannot_separate_are_refused(monkeypatch):
+    # from n = 15 on, two partitions can share both scalars; here 2+2 is given those of 2+1+1
+    content_sums = representation._content_sums
+    monkeypatch.setattr(representation, "_content_sums", lambda lam: content_sums(
+        Partition((2, 1, 1)) if lam == Partition((2, 2)) else lam))
+    space = _fresh_action("cyclic", 4, "paper")
+    with pytest.raises(ValueError, match="^p1 and p2 do not separate 2\\+2 from the other "
+                                         "partitions present$"):
+        project_vector((1,) * space.dim, space, Partition((2, 2)))
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "rolo"])
