@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists/tuples of equal-length rows of ints or Fractions.  All row
-reduction is one fraction-free Gauss–Jordan routine, `_eliminate`: each row
-is cleared of denominators, rows are combined by integer cross-multiplication,
-and every combined row is divided by the gcd of its entries, which keeps the
-integers small.  A forward pass clears below each pivot, on the row tail from
-the pivot column; a back pass then clears above each pivot, last pivot first.
-A matrix of full column rank skips the back pass: its reduced form is the
-identity, so its pivot rows are written as unit rows.  Either way each pivot
-row ends zero in every other pivot column, so dividing it by its pivot entry
-gives the reduced row echelon form.  Pivot rows are nonzero multiples of that
-form's rows of either sign; the form itself is unique, so `rank`, `rref` and
-the canonical `nullspace` basis all read off the same integer rows, which an
+reduction is one fraction-free Gauss–Jordan routine, `_eliminate`, on rows
+cleared of denominators.  Its forward pass is Bareiss's: below each pivot, a
+row is combined with the pivot row by integer cross-multiplication and
+divided exactly by the previous pivot, on the row tail from the pivot column,
+with no gcd per combined row.  Each row is then divided by the gcd of its
+entries once, and a back pass clears above each pivot, last pivot first.  A
+matrix of full column rank skips both: its reduced form is the identity, so
+its pivot rows are written as unit rows.  Either way each pivot row ends zero
+in every other pivot column, so dividing it by its pivot entry gives the
+reduced row echelon form.  Pivot rows are nonzero multiples of that form's
+rows of either sign; the form itself is unique, so `rank`, `rref` and the
+canonical `nullspace` basis all read off the same integer rows, which an
 `Echelon` keeps for a matrix that is read more than once.  `SpanSolver`
 eliminates [A | I] once, always with the back pass (pivots are sought in A's
 columns only, never the whole row), and keeps the integer transform, so every
@@ -42,23 +43,15 @@ def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def add(u: Sequence, v: Sequence) -> Vector:
-    return tuple(_q(a) + _q(b) for a, b in zip(u, v, strict=True))
-
-
 def sub(u: Sequence, v: Sequence) -> Vector:
     return tuple(_q(a) - _q(b) for a, b in zip(u, v, strict=True))
 
 
-def scale(k, v: Sequence) -> Vector:
-    k = _q(k)
-    return tuple(k * _q(a) for a in v)
-
-
 def _scaled_ints(v: Sequence) -> tuple[list[int], int]:
     """Write v as (integer vector) / denominator, exactly."""
-    den = lcm(*[x.denominator for x in v])
-    return [x.numerator * (den // x.denominator) for x in v], den
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 class ScaledMatrix:
@@ -88,32 +81,34 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     )
 
 
-def is_zero(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
-
-
 def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
     """Fraction-free Gauss–Jordan on integer rows, in place; returns the pivot columns.
 
     Pivots are sought in the first pivot_cols columns only, left to right.
-    The forward pass clears the rows below each pivot; every entry left of
-    the pivot column is already zero in those rows, so only the row tail from
-    the pivot column is combined.  The back pass then clears the rows above
-    each pivot, last pivot first.  Afterwards row i (i < number of pivots) is
-    the i-th pivot row: every other pivot column holds 0 in it.  The rows
-    after the pivot rows are zero in the first pivot_cols columns.
+    The forward pass is Bareiss's: with pivot p in column c and the previous
+    pivot prev (1 at the start), every row below becomes (p·row − row[c]·pivot
+    row) // prev, the rows without an entry in column c included.  Each entry
+    is then a minor of the input, so the division is exact and needs no gcd;
+    every entry left of the pivot column is already zero in those rows, so
+    only the row tail from the pivot column is combined.  Every nonzero row
+    is then divided once by the gcd of its entries, and the back pass clears
+    the rows above each pivot, last pivot first, dividing each combined row
+    by its gcd.  Afterwards row i (i < number of pivots) is the i-th pivot
+    row: every other pivot column holds 0 in it.  The rows after the pivot
+    rows are zero in the first pivot_cols columns.
 
     When every one of the pivot_cols columns is a pivot and they make up the
     whole row (full column rank), the reduced form is the identity, so pivot
-    row i is written as the unit row e_i and the back pass is skipped.
-    Otherwise a pivot row is a nonzero integer multiple, of either sign, of
-    its reduced row echelon row; rank, nullspace, rref and project_onto_span
-    do not depend on that sign.  A row is only ever replaced by a nonzero
-    multiple of itself plus a multiple of a pivot row, so the row space is
-    unchanged.
+    row i is written as the unit row e_i and the gcd pass and the back pass
+    are skipped.  Otherwise a pivot row is a nonzero integer multiple, of
+    either sign, of its reduced row echelon row; rank, nullspace, rref and
+    project_onto_span do not depend on that sign.  A row is only ever
+    replaced by a nonzero multiple of itself plus a multiple of a pivot row,
+    so the row space is unchanged.
     """
     pivots: list[int] = []
     nrows = len(m)
+    prev = 1
     r = 0
     for c in range(pivot_cols):
         if r == nrows:
@@ -122,23 +117,25 @@ def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        g = gcd(*m[r])
-        prow = m[r] = [x // g for x in m[r]]
+        prow = m[r]
         p, tail = prow[c], prow[c:]
         for i in range(r + 1, nrows):
             k = m[i][c]
             if k:
-                g = gcd(p, k)
-                a, b = p // g, k // g
-                row = [a * x - b * y for x, y in zip(m[i][c:], tail)]
-                g = gcd(*row)
-                m[i] = [0] * c + ([x // g for x in row] if g > 1 else row)
+                m[i] = [0] * c + [(p * x - k * y) // prev for x, y in zip(m[i][c:], tail)]
+            elif p != prev:
+                m[i] = [0] * c + [p * x // prev for x in m[i][c:]]
+        prev = p
         pivots.append(c)
         r += 1
     if nrows and r == pivot_cols == len(m[0]):
         for i in range(r):
             m[i] = [int(i == j) for j in range(r)]
         return pivots
+    for i, row in enumerate(m):
+        g = gcd(*row)
+        if g > 1:
+            m[i] = [x // g for x in row]
     for j in range(r - 1, 0, -1):
         c, prow = pivots[j], m[j]
         p = prow[c]

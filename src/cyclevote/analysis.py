@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress, repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import _linalg as la
 from ._record import Record
@@ -90,15 +91,19 @@ class TallyResult(Record, fields=("scores", "winners")):
 
 
 def tally(m: ScoringMatrix, p: Profile) -> TallyResult:
-    """Scores = M p; winners are the full argmax set, ties never broken."""
+    """Scores = M p; winners are the full argmax set, ties never broken.
+
+    The argmax runs on integers: every score written over the least common
+    denominator of all of them.
+    """
     if p.space is not m.ballot_space:
         what = "is another object than" if repr(p.space) == repr(m.ballot_space) else "!="
         raise ValueError(f"profile space {p.space!r} {what} rule ballot space {m.ballot_space!r}")
     scores = la.mat_vec(m.scaled, p.weights)
-    top = max(scores)
-    winners = frozenset(
-        m.outcome_space[i] for i, s in enumerate(scores) if s == top
-    )
+    den = lcm(*[s.denominator for s in scores])
+    keys = [s.numerator * (den // s.denominator) for s in scores]
+    top = max(keys)
+    winners = frozenset(compress(m.outcome_space.ballots, [k == top for k in keys]))
     return TallyResult(scores, winners)
 
 
@@ -383,22 +388,23 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
 
     The work runs in integers.  M is written once as N / d with one common
     denominator d, and a catalog vector v as u / e, so that M v = N u / (d e)
-    and M Mᵀ v = N (Nᵀ u) / (d² e).  Whether an integer image w is a multiple
-    of u is the cross-multiplication test w[i] u[p] == w[p] u[i], and the
-    multiple w[p] / (d u[p]) does not depend on e.  Fractions are built only
-    for the fields of the report.
+    and M Mᵀ v = (N Nᵀ) u / (d² e), with N Nᵀ built once per report.
+    Whether an integer image w is a multiple of u is the cross-multiplication
+    test w[i] u[p] == w[p] u[i], and the multiple w[p] / (d u[p]) does not
+    depend on e.  Fractions are built only for the fields of the report.
     """
     _check_catalog(catalog, m.ballot_space)
     same_space = m.outcome_space is m.ballot_space
     out_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
     d = lcm(*(den for _, den in m.scaled.rows))
     rows = [[x * (d // den) for x in row] for row, den in m.scaled.rows]
+    columns = list(zip(*rows))
 
     zero = Fraction(0)
     entries = []
     for entry in catalog.entries:
         vectors = entry.scaled.rows
-        products = [_int_mat_vec(rows, u) for u, _ in vectors]
+        products = [_int_mat_vec(rows, columns, u) for u, _ in vectors]
         images = tuple(
             tuple(Fraction(x, d * e) if x else zero for x in w)
             for w, (_, e) in zip(products, vectors)
@@ -417,21 +423,39 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
             coords = tuple(tuple(solve(w, d * e) or ()) for w, (_, e) in zip(products, vectors))
         entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
 
-    columns = list(zip(*rows))
+    gram = _gram(rows)
     quadratic = {}
     for entry in out_catalog.entries:
         us = [u for u, _ in entry.scaled.rows]
-        gram_images = [_int_mat_vec(rows, _int_mat_vec(columns, u)) for u in us]
-        quadratic[entry.label] = _common_scalar(us, gram_images, d * d)
+        # lazily: _common_scalar stops at the first vector that is no eigenvector
+        images = (_int_mat_vec(gram, gram, u) for u in us)  # gram is its own transpose
+        quadratic[entry.label] = _common_scalar(us, images, d * d)
     return ScalingReport(m.rule_name, tuple(entries), quadratic)
 
 
-def _int_mat_vec(rows: Sequence[Sequence[int]], u: Sequence[int]) -> list[int]:
-    return [sum(map(mul, row, u)) for row in rows]
+def _int_mat_vec(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]],
+                 u: Sequence[int]) -> list[int]:
+    """rows · u; a u with few nonzeros (co5 pairdiff has 2) sums those columns instead."""
+    support = [j for j, x in enumerate(u) if x]
+    if 2 * len(support) >= len(rows):
+        return [sum(map(mul, row, u)) for row in rows]
+    image = [0] * len(rows)
+    for j in support:
+        image = list(map(add, image, map(mul, columns[j], repeat(u[j]))))
+    return image
+
+
+def _gram(rows: list[list[int]]) -> list[list[int]]:
+    """rows · rowsᵀ, one dot product per entry of the upper triangle."""
+    gram = [[0] * len(rows) for _ in rows]
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            gram[i][j] = gram[j][i] = sum(map(mul, a, rows[j]))
+    return gram
 
 
 def _common_scalar(
-    vectors: list[list[int]], images: list[list[int]], den: int
+    vectors: list[list[int]], images: Iterable[list[int]], den: int
 ) -> Fraction | None:
     """The single k with image == den * k * vector for every pair, if one exists.
 
@@ -502,37 +526,40 @@ def masking_profile(
             raise ValueError(f"{order} has n={order.n}, but the rule's outcomes have n={n}")
     space = m.ballot_space
 
-    # M^T (e_target - e_reversal)
-    base = la.scale(magnitude, la.sub(m.row(target), m.row(reverse_order(target))))
+    # M^T (e_target - e_reversal) as diff / ddiff
+    diff, ddiff = la._scaled_ints(la.sub(m.row(target), m.row(reverse_order(target))))
 
     favorites = [favorite_order(b, space.n) for b in space.ballots]
-    decoy_flag = la.vec(1 if fav in decoys else 0 for fav in favorites)
-    target_flag = la.vec(1 if fav == target else 0 for fav in favorites)
-    boost = la.sub(decoy_flag, la.project_onto_span(m.echelon, decoy_flag))
-    if la.is_zero(boost):
-        drain = la.sub(target_flag, la.project_onto_span(m.echelon, target_flag))
-        boost = la.scale(-1, drain)
-    if la.is_zero(boost):
+    boost, dboost = _kernel_part(m, [int(fav in decoys) for fav in favorites])
+    if not any(boost):
+        drain, dboost = _kernel_part(m, [int(fav == target) for fav in favorites])
+        boost = [-x for x in drain]
+    if not any(boost):
         raise MaskingInfeasibleError(
             "the kernel holds no usable direction for this target/decoy set"
         )
 
-    ones = la.vec([1] * len(space))
+    # candidate = magnitude * (diff / ddiff + 2**doublings * boost / dboost)
+    # = magnitude / den * (a + 2**doublings * b); the positive factor
+    # magnitude / den changes neither the argmin nor the majority test
+    den = lcm(ddiff, dboost)
+    a = [x * (den // ddiff) for x in diff]
+    b = [x * (den // dboost) for x in boost]
+    masked_flags = [fav != target for fav in favorites]
     for doublings in range(24):
-        beta = magnitude * (2**doublings)
-        candidate = la.add(base, la.scale(beta, boost))
+        candidate = [x + (y << doublings) for x, y in zip(a, b)]
         low = min(candidate)
-        shifted = la.add(candidate, la.scale(-low, ones)) if low < 0 else candidate
-        masked_mass = sum(
-            (w for w, fav in zip(shifted, favorites) if fav != target), Fraction(0)
-        )
-        if 2 * masked_mass > sum(shifted, Fraction(0)):
+        if low < 0:
+            candidate = [x - low for x in candidate]
+        if 2 * sum(compress(candidate, masked_flags)) > sum(candidate):
             break
     else:
         raise MaskingInfeasibleError(
             f"no strict weight majority away from {target} after 24 doublings"
         )
 
+    num, dnm = magnitude.numerator, magnitude.denominator * den
+    shifted = tuple(Fraction(num * x, dnm) for x in candidate)
     result = Profile(space, shifted)
     outcome = tally(m, result)
     if outcome.winners != frozenset({target}):
@@ -540,3 +567,9 @@ def masking_profile(
             f"recipe failed to elect {target} uniquely under {m.rule_name}"
         )
     return result
+
+
+def _kernel_part(m: ScoringMatrix, flags: list[int]) -> tuple[list[int], int]:
+    """The component of flags orthogonal to the row space of m, as (integers, denominator)."""
+    proj, den = la._scaled_ints(la.project_onto_span(m.echelon, flags))
+    return [f * den - x for f, x in zip(flags, proj)], den

@@ -51,7 +51,7 @@ from _goldens import (
     TIE_SPACE_PROFILE,
     TRAD_PROFILE,
 )
-from test_linalg import identity_matrix, transpose
+from test_linalg import add, identity_matrix, is_zero, scale, transpose
 
 
 def criterion(number, name):
@@ -231,15 +231,15 @@ def test_10_rolo_family():
         eigenvalue = 4 * (a - b) ** 2 + 4 * (c - d) ** 2 + 4 * (f - e) ** 2
         combos = []
         for i, u in enumerate(third_space):
-            combo = la.add(
-                la.add(la.scale(a - b, w1[i]), la.scale(c - d, w2[i])),
-                la.scale(f - e, w3[i]),
+            combo = add(
+                add(scale(a - b, w1[i]), scale(c - d, w2[i])),
+                scale(f - e, w3[i]),
             )
             assert la.mat_vec(mt, u) == combo
-            assert la.mat_vec(m.entries, la.mat_vec(mt, u)) == la.scale(eigenvalue, u)
+            assert la.mat_vec(m.entries, la.mat_vec(mt, u)) == scale(eigenvalue, u)
             combos.append(combo)
         rows = effective_basis(m)
-        claimed = la.rank(combos) if any(not la.is_zero(v) for v in combos) else 0
+        claimed = la.rank(combos) if any(not is_zero(v) for v in combos) else 0
         overlap = la.rank(list(rows) + wspan) if rows else la.rank(wspan)
         intersection = (la.rank(rows) if rows else 0) + la.rank(wspan) - overlap
         assert intersection == claimed
@@ -258,7 +258,7 @@ def test_11_trad():
     w1, w2, w3 = (catalog.entry(k).vectors for k in ("w1", "w2", "w3"))
     wspan = list(w1) + list(w2) + list(w3)
     rows = effective_basis(m)
-    sums = [la.add(w1[i], w2[i]) for i in range(3)]
+    sums = [add(w1[i], w2[i]) for i in range(3)]
     for v in sums:
         assert la.solve_in_span(rows, v) is not None
     assert la.rank(rows) + la.rank(wspan) - la.rank(list(rows) + wspan) == la.rank(sums)

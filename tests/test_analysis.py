@@ -28,11 +28,13 @@ from cyclevote.analysis import (
     tally,
 )
 from cyclevote.ballots import RoloBallot, TradBallot, build_ballot_space, favorite_order
-from cyclevote.cyclic_orders import CyclicOrder, PairClass, parse_order
+from cyclevote.cyclic_orders import CyclicOrder, PairClass, parse_order, reverse_order
 from cyclevote.representation import ActionSpace, DecompositionReport
 from cyclevote.scoring import FAMILY_ARITY, ScoringMatrix, build_neutral_matrix, rule
 from cyclevote.symmetric_group import ClassFunction, Partition, Permutation, parse_permutation
-from test_linalg import _bareiss_nullspace, _fraction_rref, dot, transpose
+from test_linalg import (
+    _bareiss_nullspace, _fraction_rref, add, dot, is_zero, scale, transpose,
+)
 from _goldens import (
     PARADOX_PROFILE,
     PARADOX_SCORES,
@@ -78,6 +80,31 @@ def test_tally_zero_profile_ties_everything():
     m = rule("generic4", 2, 1, 0)
     r = tally(m, frac_profile(CO4, (0,) * 6))
     assert r.winners == frozenset(CO4.ballots)
+
+
+def test_tally_ties_across_rows_of_different_denominators():
+    # each of rows 0-3 and 5 scores 2/3 on p = e_0 + e_1 over a different
+    # denominator; row 4 falls short by 10^-12
+    third, tiny = Fraction(1, 3), Fraction(1, 10**12)
+    rows = [
+        (third, third), (Fraction(1, 6), Fraction(1, 2)), (Fraction(2, 9), Fraction(4, 9)),
+        (Fraction(1, 4), Fraction(5, 12)), (2 * third - tiny, Fraction(0)),
+        (Fraction(7, 15), Fraction(1, 5)),
+    ]
+    entries = tuple(la.vec(row + (Fraction(k + 1, 7 + k),) + (0,) * 3)
+                    for k, row in enumerate(rows))
+    m = ScoringMatrix("hand", CO4, CO4, entries)
+    for weights in [(1, 1, 0, 0, 0, 0), (-3, -3, 0, 0, 0, 0), (Fraction(5, 11),) * 2 + (0,) * 4]:
+        p = frac_profile(CO4, weights)
+        r = tally(m, p)
+        scores = tuple(dot(row, p.weights) for row in entries)
+        top = max(scores)
+        assert r.scores == scores
+        assert r.winners == {CO4.ballots[i] for i, s in enumerate(scores) if s == top}
+    assert r.winners == {CO4.ballots[i] for i in (0, 1, 2, 3, 5)}
+    # a weight on column 2 breaks the tie: row k gains (k+1)/(7+k), largest for row 5
+    r = tally(m, frac_profile(CO4, (1, 1, 1, 0, 0, 0)))
+    assert r.winners == {CO4.ballots[5]}
 
 
 def test_tally_space_mismatch():
@@ -224,7 +251,7 @@ def test_effective_space_claims_for_rolo_and_trad():
     mx = rule("rolo_x1", 3)
     rows = effective_basis(mx)
     for i in range(3):
-        v = la.add(la.add(la.scale(3, w1[i]), w2[i]), w3[i])
+        v = add(add(scale(3, w1[i]), w2[i]), w3[i])
         assert la.solve_in_span(rows, v) is not None
     assert la.rank(list(rows) + wspan) == la.rank(rows) + la.rank(wspan) - 3
 
@@ -232,7 +259,7 @@ def test_effective_space_claims_for_rolo_and_trad():
     rows_t = effective_basis(mt)
     mneg = rule("rolo_x1", -1)
     for i in range(3):
-        v = la.add(w1[i], w2[i])
+        v = add(w1[i], w2[i])
         assert la.solve_in_span(rows_t, v) is not None
         assert la.mat_vec(mneg.entries, v) == la.zeros(6)
     assert la.rank(list(rows_t) + wspan) == la.rank(rows_t) + la.rank(wspan) - 3
@@ -258,7 +285,7 @@ def test_catalogs_span_and_label_their_spaces():
 def test_nonadjacency_spanning_vectors_sum_to_zero():
     cat = subspace_catalog("co4")
     s1, s2, s3 = cat.entry("nonadj").vectors
-    assert la.add(la.add(s1, s2), s3) == la.zeros(6)
+    assert add(add(s1, s2), s3) == la.zeros(6)
 
 
 def test_decompose_profile_worked_example():
@@ -271,7 +298,7 @@ def test_decompose_profile_worked_example():
     assert by_label["rev"].coefficients == (Fraction(1, 2), Fraction(0), Fraction(-1, 2))
     total = la.zeros(6)
     for c in comps:
-        total = la.add(total, c.component)
+        total = add(total, c.component)
     assert total == p.weights
 
 
@@ -400,8 +427,8 @@ def _fraction_common_scalar(vectors, images):
     """The single k with image == k * vector for every pair, if one exists."""
     k = None
     for v, img in zip(vectors, images):
-        if la.is_zero(v):
-            if not la.is_zero(img):
+        if is_zero(v):
+            if not is_zero(img):
                 return None
             continue
         pivot = next(i for i, x in enumerate(v) if x != 0)
@@ -427,7 +454,7 @@ def _fraction_scaling_report(m, catalog, expand_images=True):
             kind = "zero" if scalar == 0 else "scalar"
             entries.append(EntryScaling(entry.label, entry.partition, kind, scalar, images, None))
             continue
-        if all(la.is_zero(img) for img in images):
+        if all(is_zero(img) for img in images):
             entries.append(
                 EntryScaling(entry.label, entry.partition, "zero", Fraction(0), images, None)
             )
@@ -478,7 +505,7 @@ def _scaled_catalog(catalog, extra=()):
     """The catalog with its vectors scaled by 1/2 and 1/3 in turn, plus extra entries."""
     entries = tuple(
         CatalogEntry(e.label, e.partition,
-                     tuple(la.scale(Fraction(1, 2 + k % 2), v) for k, v in enumerate(e.vectors)))
+                     tuple(scale(Fraction(1, 2 + k % 2), v) for k, v in enumerate(e.vectors)))
         for e in catalog.entries
     )
     return SubspaceCatalog(catalog.space_id, catalog.n, catalog.dim, entries + tuple(extra))
@@ -495,9 +522,9 @@ def test_scaling_report_matches_fraction_oracle_on_fractional_catalogs(family):
     first, last = base.entries[0], base.entries[-1]
     extra = (CatalogEntry("nil", first.partition, (la.zeros(dim),)),
              CatalogEntry("T+nil", first.partition,
-                          (la.zeros(dim), la.scale(Fraction(5, 6), first.vectors[0]))),
+                          (la.zeros(dim), scale(Fraction(5, 6), first.vectors[0]))),
              CatalogEntry("mixed", first.partition,
-                          (la.scale(Fraction(7, 4), first.vectors[0]), last.vectors[0])))
+                          (scale(Fraction(7, 4), first.vectors[0]), last.vectors[0])))
     catalog = _scaled_catalog(base, extra)
     assert any(x.denominator == 3 for e in catalog.entries for v in e.vectors for x in v)
     _assert_report_matches_oracle(m, catalog)
@@ -507,7 +534,7 @@ def test_scaling_report_matches_fraction_oracle_on_fractional_catalogs(family):
     for e, f in zip(plain.entries, scaled.entries):
         assert f.scalar == e.scalar
         for k, (img, img_scaled) in enumerate(zip(e.images, f.images)):
-            assert img_scaled == la.scale(Fraction(1, 2 + k % 2), img)
+            assert img_scaled == scale(Fraction(1, 2 + k % 2), img)
     nil, t_nil, mixed = scaled.entries[-3:]
     assert nil.kind == "zero" and nil.scalar == 0
     assert mixed.kind == "mapped"
@@ -569,6 +596,90 @@ def test_masking_profile_requires_a_raw_weight_majority(monkeypatch):
     monkeypatch.setattr(la, "project_onto_span", lambda rows, v: la.zeros(len(v)))
     with pytest.raises(MaskingInfeasibleError, match="majority"):
         masking_profile(rule("rolo21"), target, {parse_order("(ABCD)")}, 1)
+
+
+# -- oracle: the Fraction masking recipe the integer one replaced ---------------
+
+def _masking_oracle(m, target, decoys, magnitude=Fraction(1)):
+    """masking_profile by Fraction vectors, one Fraction candidate per doubling."""
+    magnitude = Fraction(magnitude)
+    if magnitude <= 0:
+        raise ValueError("magnitude must be positive")
+    if target in decoys:
+        raise ValueError("target cannot be one of its own decoys")
+    n = m.outcome_space.n
+    for order in (target, *sorted(decoys)):
+        if order.n != n:
+            raise ValueError(f"{order} has n={order.n}, but the rule's outcomes have n={n}")
+    space = m.ballot_space
+    base = scale(magnitude, la.sub(m.row(target), m.row(reverse_order(target))))
+    favorites = [favorite_order(b, space.n) for b in space.ballots]
+    decoy_flag = la.vec(1 if fav in decoys else 0 for fav in favorites)
+    target_flag = la.vec(1 if fav == target else 0 for fav in favorites)
+    boost = la.sub(decoy_flag, la.project_onto_span(m.echelon, decoy_flag))
+    if is_zero(boost):
+        drain = la.sub(target_flag, la.project_onto_span(m.echelon, target_flag))
+        boost = scale(-1, drain)
+    if is_zero(boost):
+        raise MaskingInfeasibleError(
+            "the kernel holds no usable direction for this target/decoy set"
+        )
+    ones = la.vec([1] * len(space))
+    for doublings in range(24):
+        beta = magnitude * (2**doublings)
+        candidate = add(base, scale(beta, boost))
+        low = min(candidate)
+        shifted = add(candidate, scale(-low, ones)) if low < 0 else candidate
+        masked_mass = sum(
+            (w for w, fav in zip(shifted, favorites) if fav != target), Fraction(0)
+        )
+        if 2 * masked_mass > sum(shifted, Fraction(0)):
+            break
+    else:
+        raise MaskingInfeasibleError(
+            f"no strict weight majority away from {target} after 24 doublings"
+        )
+    result = Profile(space, shifted)
+    if tally(m, result).winners != frozenset({target}):
+        raise MaskingInfeasibleError(
+            f"recipe failed to elect {target} uniquely under {m.rule_name}"
+        )
+    return result
+
+
+def _masking_outcome(fn, *args):
+    """The profile fn returns, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_CO4_ORDERS = tuple(CO4.ballots)
+
+
+@pytest.mark.parametrize("family", ["rolo21", "trad21", "rolo_generic", "rolo_x1", "generic4"])
+def test_masking_profile_matches_the_fraction_oracle(family):
+    params = [()] if not FAMILY_ARITY[family] else [_sweep_params(family, seed) for seed in range(3)]
+    if family in _DEGENERATE_PARAMS:
+        params.append(_DEGENERATE_PARAMS[family])
+    rng = random.Random(f"masking-{family}")
+    profiles = errors = 0
+    for ps in params:
+        m = rule(family, *ps)
+        for target in _CO4_ORDERS[::2]:
+            others = [o for o in _CO4_ORDERS if o != target]
+            decoy_sets = [set(), {others[0]}, set(others[1:3]), set(others),
+                          set(rng.sample(others, 2)), {target, others[0]}]
+            for decoys in decoy_sets:
+                for magnitude in (Fraction(1), Fraction(3, 2), Fraction(5)):
+                    got = _masking_outcome(masking_profile, m, target, decoys, magnitude)
+                    assert got == _masking_outcome(_masking_oracle, m, target, decoys, magnitude)
+                    profiles += isinstance(got, Profile)
+                    errors += not isinstance(got, Profile)
+    # a generic4 rule has no kernel to mask with, or (the zero rule) elects
+    # every order; the ROLO and TRAD rules mask most targets
+    assert (profiles == 0) == (family == "generic4") and errors
 
 
 def test_profile_file_roundtrip():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,26 @@ def mat(rows):
     return tuple(la.vec(r) for r in rows)
 
 
-# -- oracles: the two row reductions the integer Gauss-Jordan kernel replaced --
+def add(u, v):
+    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v, strict=True))
+
+
+def scale(k, v):
+    return tuple(Fraction(k) * Fraction(a) for a in v)
+
+
+def is_zero(v):
+    return all(x == 0 for x in v)
+
+
+# -- oracles ---------------------------------------------------------------------
+#
+# _fraction_rref is the independent oracle: Fraction row operations, with no
+# integer elimination at all.  _bareiss runs the library's own forward pass
+# (exact division by the previous pivot), so beside it the tests check the
+# back pass and the reading of the rows, not the forward algorithm.
+# _gcd_eliminate is the library's earlier integer routine, which divided every
+# combined row by the gcd of its entries instead.
 
 def _fraction_rref(rows):
     """Reduced row echelon form by Fraction row operations."""
@@ -63,7 +83,10 @@ def _fraction_rref(rows):
 
 
 def _bareiss(rows):
-    """Fraction-free (Bareiss) echelon form: nonzero rows and pivot columns."""
+    """Fraction-free (Bareiss) echelon form: nonzero rows and pivot columns.
+
+    Its forward pass is the library's, so _fraction_rref is the independent check.
+    """
     m = []
     for row in rows:
         fr = [Fraction(x) for x in row]
@@ -114,6 +137,84 @@ def _bareiss_nullspace(rows):
     return basis
 
 
+def _fraction_nullspace(rows):
+    """Canonical null-space basis read off _fraction_rref."""
+    if not rows:
+        return []
+    reduced, pivots = _fraction_rref(rows)
+    basis = []
+    for f in (c for c in range(len(rows[0])) if c not in pivots):
+        x = [Fraction(0)] * len(rows[0])
+        x[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def _gcd_eliminate(m, pivot_cols):
+    """The library's earlier _eliminate: every combined row divided by its gcd."""
+    pivots = []
+    nrows = len(m)
+    r = 0
+    for c in range(pivot_cols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        g = gcd(*m[r])
+        prow = m[r] = [x // g for x in m[r]]
+        p, tail = prow[c], prow[c:]
+        for i in range(r + 1, nrows):
+            k = m[i][c]
+            if k:
+                g = gcd(p, k)
+                a, b = p // g, k // g
+                row = [a * x - b * y for x, y in zip(m[i][c:], tail)]
+                g = gcd(*row)
+                m[i] = [0] * c + ([x // g for x in row] if g > 1 else row)
+        pivots.append(c)
+        r += 1
+    if nrows and r == pivot_cols == len(m[0]):
+        for i in range(r):
+            m[i] = [int(i == j) for j in range(r)]
+        return pivots
+    for j in range(r - 1, 0, -1):
+        c, prow = pivots[j], m[j]
+        p = prow[c]
+        for i in range(j):
+            k = m[i][c]
+            if k:
+                g = gcd(p, k)
+                a, b = p // g, k // g
+                row = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+    return pivots
+
+
+def _augmented(columns, dim):
+    """The integer rows of [A | I], A the given columns: what SpanSolver eliminates."""
+    return [la._scaled_ints([col[i] for col in columns] + [int(i == j) for j in range(dim)])[0]
+            for i in range(dim)]
+
+
+def _gcd_solve(columns, target):
+    """SpanSolver's recipe on _gcd_eliminate's elimination of [A | I]."""
+    k = len(columns)
+    m = _augmented(columns, len(target))
+    pivots = _gcd_eliminate(m, k)
+    nb, db = la._scaled_ints(target)
+    if any(sum(map(mul, row[k:], nb)) for row in m[len(pivots):]):
+        return None
+    coeffs = [Fraction(0)] * k
+    for row, p in zip(m, pivots):
+        coeffs[p] = Fraction(sum(map(mul, row[k:], nb)), row[p] * db)
+    return coeffs
+
+
 def _oracle_solve(columns, target):
     """One Fraction RREF of [A | b] per call; earlier columns win, None outside the span."""
     aug = [tuple(Fraction(col[i]) for col in columns) + (Fraction(target[i]),)
@@ -148,22 +249,93 @@ def rational_matrix(draw):
     return rows
 
 
+_large_entry = st.one_of(
+    st.integers(-10**15, 10**15), st.fractions(-10**6, 10**6, max_denominator=10**6)
+)
+
+
+@st.composite
+def elimination_matrix(draw):
+    """Rank-deficient rows over skipped columns, duplicate rows, large entries.
+
+    Every row is a small combination of at most rank base rows, a copy of an
+    earlier row, or zero; the drawn zero columns are zero in every row, so
+    the elimination skips them.
+    """
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([_entry, _large_entry]))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    base = [[0 if j in zero_cols else draw(entry) for j in range(ncols)]
+            for _ in range(draw(st.integers(0, min(nrows, ncols))))]
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.integers(0, 5))
+        if kind == 0 and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == 1 or not base:
+            rows.append([0] * ncols)
+        else:
+            ks = [draw(st.integers(-3, 3)) for _ in base]
+            rows.append([sum((k * Fraction(b[j]) for k, b in zip(ks, base)), Fraction(0))
+                         for j in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@given(elimination_matrix())
+@settings(max_examples=300)
+def test_eliminate_matches_the_gcd_oracle(rows):
+    ncols = len(rows[0])
+    new, old = ([la._scaled_ints(row)[0] for row in rows] for _ in range(2))
+    pivots = la._eliminate(new, ncols)
+    assert pivots == _gcd_eliminate(old, ncols)
+    r = len(pivots)
+    # both leave primitive pivot rows, so they agree up to sign, and zero rows after them
+    for a, b in zip(new[:r], old[:r]):
+        assert a in (b, [-x for x in b])
+    assert not any(map(any, new[r:])) and not any(map(any, old[r:]))
+    assert la.rank(rows) == r == len(_fraction_rref(rows)[1])
+    assert la.rref(rows) == _fraction_rref(rows)
+    assert la.nullspace(rows) == _fraction_nullspace(rows) == _bareiss_nullspace(rows)
+
+
+@given(elimination_matrix(), st.lists(_entry, min_size=7, max_size=7), st.booleans())
+@settings(max_examples=300)
+def test_span_solver_matches_the_gcd_oracle(rows, coeffs, inside):
+    # the rows serve as the columns of A; pivots are sought in A's columns of
+    # [A | I] only, below the width of the rows
+    k, dim = len(rows), len(rows[0])
+    new, old = _augmented(rows, dim), _augmented(rows, dim)
+    pivots = la._eliminate(new, k)
+    assert pivots == _gcd_eliminate(old, k)
+    assert pivots == _fraction_rref([row[:k] for row in _augmented(rows, dim)])[1]
+    # a pivot row's A part, over its pivot entry, is the unique reduced row of A
+    for a, b, p in zip(new, old, pivots):
+        assert [Fraction(x, a[p]) for x in a[:k]] == [Fraction(x, b[p]) for x in b[:k]]
+    assert not any(any(row[:k]) for row in new[len(pivots):])
+    if inside:
+        target = la.zeros(dim)
+        for c, col in zip(coeffs, rows):
+            target = add(target, scale(c, col))
+    else:
+        target = coeffs[:dim]
+    solver = la.SpanSolver(rows, dim)
+    assert solver.pivots == pivots
+    assert solver.solve(target) == _gcd_solve(rows, target) == _oracle_solve(rows, target)
+
+
 def test_vector_arithmetic_gives_fractions_for_any_rational_input():
     half = Fraction(1, 2)
     cases = [
-        (la.add((1, 2), (3, 4)), (4, 6)),
         (la.sub((1, 2), (3, 4)), (-2, -2)),
-        (la.scale(3, (1, -2)), (3, -6)),
-        (la.add((1, half), (half, 2)), (Fraction(3, 2), Fraction(5, 2))),
         (la.sub((half, 1), (1, half)), (-half, half)),
-        (la.scale(half, (3, Fraction(2, 3))), (Fraction(3, 2), Fraction(1, 3))),
-        (la.scale(2, (0.5, True)), (1, 2)),
+        (la.sub((0.5, True), (half, 0)), (0, 1)),
+        (la.vec((0.5, True, half)), (half, 1, half)),
     ]
     for got, want in cases:
         assert type(got) is tuple and all(type(x) is Fraction for x in got), got
         assert got == want
     with pytest.raises(ValueError):
-        la.add((1, 2), (3,))
+        la.sub((1, 2), (3,))
 
 
 @given(rational_matrix())
@@ -192,7 +364,7 @@ def test_span_solver_matches_oracle_solve(rows, coeffs, mode):
     else:
         target = la.zeros(dim)
         for c, col in zip(coeffs, rows):
-            target = la.add(target, la.scale(c, col))
+            target = add(target, scale(c, col))
     solver = la.SpanSolver(rows, dim)
     assert solver.solve(target) == _oracle_solve(rows, target)
     assert la.solve_in_span(rows, target) == _oracle_solve(rows, target)
@@ -340,7 +512,7 @@ def test_catalog_solver_matches_oracle(label):
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in columns]
             target = la.zeros(dim)
             for c, col in zip(coeffs, columns):
-                target = la.add(target, la.scale(c, col))
+                target = add(target, scale(c, col))
         else:
             target = la.vec(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
         got = solver.solve(target)
@@ -443,12 +615,12 @@ def test_solve_recovers_combination(coeffs):
     cols = [(1, 0, 2), (0, 1, 1), (1, 1, 0)]
     target = la.zeros(3)
     for c, col in zip(coeffs, cols):
-        target = la.add(target, la.scale(c, col))
+        target = add(target, scale(c, col))
     got = la.solve_in_span(cols, target)
     assert got is not None
     rebuilt = la.zeros(3)
     for c, col in zip(got, cols):
-        rebuilt = la.add(rebuilt, la.scale(c, col))
+        rebuilt = add(rebuilt, scale(c, col))
     assert rebuilt == target
 
 

@@ -37,7 +37,7 @@ from cyclevote.symmetric_group import (
     sign,
     specht_dimension,
 )
-from test_linalg import identity_matrix
+from test_linalg import add, identity_matrix
 
 
 def permutation_matrix(space, sigma):
@@ -169,7 +169,7 @@ def test_projected_components_sum_back():
     v = (3, -1, 0, 7, Fraction(1, 2), 2)
     acc = la.zeros(6)
     for lam in partitions(4):
-        acc = la.add(acc, project_vector(v, space, lam))
+        acc = add(acc, project_vector(v, space, lam))
     assert acc == la.vec(v)
 
 
@@ -255,7 +255,7 @@ def test_projector_on_a_space_with_several_orbits():
         assert isotypic_projector(space, lam) == brute, lam
         component = project_vector(v, space, lam)
         assert component == la.mat_vec(brute, v), lam
-        acc = la.add(acc, component)
+        acc = add(acc, component)
     assert acc == la.vec(v)
 
 
@@ -486,7 +486,7 @@ def test_cyclic_n7_components_sum_back_and_commute_with_the_generators():
     acc = la.zeros(space.dim)
     for lam in partitions(7):
         component = project_vector(v, space, lam)
-        acc = la.add(acc, component)
+        acc = add(acc, component)
         for move in space.generator_moves:
             assert project_vector(_moved(v, move), space, lam) == _moved(component, move), lam
     assert acc == la.vec(v)
@@ -508,7 +508,7 @@ def test_rolo_n8_components_sum_back():
     v = _seeded_vector("rolo 8", space.dim)
     acc = la.zeros(space.dim)
     for lam in partitions(8):
-        acc = la.add(acc, project_vector(v, space, lam))
+        acc = add(acc, project_vector(v, space, lam))
     assert acc == la.vec(v)
 
 
@@ -519,7 +519,7 @@ def test_components_sum_back_at_n6(kind):
         v = _seeded_vector(f"sum back {kind} {seed}", space.dim)
         acc = la.zeros(space.dim)
         for lam in partitions(6):
-            acc = la.add(acc, project_vector(v, space, lam))
+            acc = add(acc, project_vector(v, space, lam))
         assert acc == la.vec(v)
 
 
@@ -532,7 +532,7 @@ def test_functions_take_a_ballot_space_itself():
     for lam in partitions(5):
         component = project_vector(v, space, lam)
         assert component == project_vector(v, fresh, lam), lam
-        acc = la.add(acc, component)
+        acc = add(acc, component)
     assert acc == la.vec(v)
 
 
