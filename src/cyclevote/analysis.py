@@ -13,9 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from math import lcm
-from operator import add, mul
 
 from . import _linalg as la
 from ._record import Record
@@ -93,18 +92,18 @@ class TallyResult(Record, fields=("scores", "winners")):
 def tally(m: ScoringMatrix, p: Profile) -> TallyResult:
     """Scores = M p; winners are the full argmax set, ties never broken.
 
-    The argmax runs on integers: every score written over the least common
-    denominator of all of them.
+    The argmax runs on the integer lanes of one packed product: every score
+    written over one common denominator.
     """
     if p.space is not m.ballot_space:
         what = "is another object than" if repr(p.space) == repr(m.ballot_space) else "!="
         raise ValueError(f"profile space {p.space!r} {what} rule ballot space {m.ballot_space!r}")
-    scores = la.mat_vec(m.scaled, p.weights)
-    den = lcm(*[s.denominator for s in scores])
-    keys = [s.numerator * (den // s.denominator) for s in scores]
+    packed, d = m.scaled.packed
+    nv, dv = la._scaled_ints(p.weights)
+    keys = packed.apply(nv)
     top = max(keys)
     winners = frozenset(compress(m.outcome_space.ballots, [k == top for k in keys]))
-    return TallyResult(scores, winners)
+    return TallyResult(la._fractions(keys, d * dv), winners)
 
 
 def kernel_basis(m: ScoringMatrix) -> list[la.Vector]:
@@ -386,9 +385,10 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
     keeps bulk parameter sweeps cheap.  The quadratic field holds the
     eigenvalue of M Mᵀ on each outcome-catalog entry.
 
-    The work runs in integers.  M is written once as N / d with one common
-    denominator d, and a catalog vector v as u / e, so that M v = N u / (d e)
-    and M Mᵀ v = (N Nᵀ) u / (d² e), with N Nᵀ built once per report.
+    The work runs in integers.  M is written as N / d with one common
+    denominator d, packed once per rule (ScaledMatrix.packed), and a catalog
+    vector v as u / e, so that M v = N u / (d e) and M Mᵀ v = (N Nᵀ) u / (d² e),
+    each one packed product, with N Nᵀ built and packed once per report.
     Whether an integer image w is a multiple of u is the cross-multiplication
     test w[i] u[p] == w[p] u[i], and the multiple w[p] / (d u[p]) does not
     depend on e.  Fractions are built only for the fields of the report.
@@ -396,19 +396,14 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
     _check_catalog(catalog, m.ballot_space)
     same_space = m.outcome_space is m.ballot_space
     out_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
-    d = lcm(*(den for _, den in m.scaled.rows))
-    rows = [[x * (d // den) for x in row] for row, den in m.scaled.rows]
-    columns = list(zip(*rows))
+    packed, d = m.scaled.packed
 
     zero = Fraction(0)
     entries = []
     for entry in catalog.entries:
         vectors = entry.scaled.rows
-        products = [_int_mat_vec(rows, columns, u) for u, _ in vectors]
-        images = tuple(
-            tuple(Fraction(x, d * e) if x else zero for x in w)
-            for w, (_, e) in zip(products, vectors)
-        )
+        products = [packed.apply(u) for u, _ in vectors]
+        images = tuple(la._fractions(w, d * e) for w, (_, e) in zip(products, vectors))
         scalar = _common_scalar([u for u, _ in vectors], products, d) if same_space else None
         if scalar is not None:
             kind = "zero" if scalar == 0 else "scalar"
@@ -423,39 +418,18 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
             coords = tuple(tuple(solve(w, d * e) or ()) for w, (_, e) in zip(products, vectors))
         entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
 
-    gram = _gram(rows)
+    # N Nᵀ is symmetric, and its column i is N applied to row i of N
+    gram = la.Packed([packed.apply(row) for row in packed.rows])
     quadratic = {}
     for entry in out_catalog.entries:
         us = [u for u, _ in entry.scaled.rows]
         # lazily: _common_scalar stops at the first vector that is no eigenvector
-        images = (_int_mat_vec(gram, gram, u) for u in us)  # gram is its own transpose
-        quadratic[entry.label] = _common_scalar(us, images, d * d)
+        quadratic[entry.label] = _common_scalar(us, map(gram.apply, us), d * d)
     return ScalingReport(m.rule_name, tuple(entries), quadratic)
 
 
-def _int_mat_vec(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]],
-                 u: Sequence[int]) -> list[int]:
-    """rows · u; a u with few nonzeros (co5 pairdiff has 2) sums those columns instead."""
-    support = [j for j, x in enumerate(u) if x]
-    if 2 * len(support) >= len(rows):
-        return [sum(map(mul, row, u)) for row in rows]
-    image = [0] * len(rows)
-    for j in support:
-        image = list(map(add, image, map(mul, columns[j], repeat(u[j]))))
-    return image
-
-
-def _gram(rows: list[list[int]]) -> list[list[int]]:
-    """rows · rowsᵀ, one dot product per entry of the upper triangle."""
-    gram = [[0] * len(rows) for _ in rows]
-    for i, a in enumerate(rows):
-        for j in range(i, len(rows)):
-            gram[i][j] = gram[j][i] = sum(map(mul, a, rows[j]))
-    return gram
-
-
 def _common_scalar(
-    vectors: list[list[int]], images: Iterable[list[int]], den: int
+    vectors: list[list[int]], images: Iterable[Sequence[int]], den: int
 ) -> Fraction | None:
     """The single k with image == den * k * vector for every pair, if one exists.
 
@@ -526,8 +500,11 @@ def masking_profile(
             raise ValueError(f"{order} has n={order.n}, but the rule's outcomes have n={n}")
     space = m.ballot_space
 
-    # M^T (e_target - e_reversal) as diff / ddiff
-    diff, ddiff = la._scaled_ints(la.sub(m.row(target), m.row(reverse_order(target))))
+    # M^T (e_target - e_reversal) as diff / ddiff, from the rule's integer rows
+    packed, ddiff = m.scaled.packed
+    index = m.outcome_space.index_of
+    diff = [x - y for x, y in zip(packed.rows[index(target)],
+                                  packed.rows[index(reverse_order(target))])]
 
     favorites = [favorite_order(b, space.n) for b in space.ballots]
     boost, dboost = _kernel_part(m, [int(fav in decoys) for fav in favorites])
@@ -571,5 +548,5 @@ def masking_profile(
 
 def _kernel_part(m: ScoringMatrix, flags: list[int]) -> tuple[list[int], int]:
     """The component of flags orthogonal to the row space of m, as (integers, denominator)."""
-    proj, den = la._scaled_ints(la.project_onto_span(m.echelon, flags))
+    proj, den = la._scaled_ints(la.project_onto_span(m.scaled, flags))
     return [f * den - x for f, x in zip(flags, proj)], den

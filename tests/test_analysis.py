@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -13,6 +15,7 @@ from cyclevote.analysis import (
     ScalingReport,
     SubspaceCatalog,
     TallyResult,
+    _common_scalar,
     act_on_profile,
     catalog_for_space,
     decompose_profile,
@@ -33,7 +36,7 @@ from cyclevote.representation import ActionSpace, DecompositionReport
 from cyclevote.scoring import FAMILY_ARITY, ScoringMatrix, build_neutral_matrix, rule
 from cyclevote.symmetric_group import ClassFunction, Partition, Permutation, parse_permutation
 from test_linalg import (
-    _bareiss_nullspace, _fraction_rref, add, dot, is_zero, scale, transpose,
+    _bareiss_nullspace, _dot_mat_vec, _fraction_rref, add, dot, is_zero, scale, transpose,
 )
 from _goldens import (
     PARADOX_PROFILE,
@@ -499,6 +502,37 @@ def test_scaling_report_matches_fraction_oracle_across_spaces(family, params):
     report = scaling_report(m, catalog)
     assert all(e.scalar is None or e.kind == "zero" for e in report.entries)
     assert any(e.kind == "mapped" and e.image_coords for e in report.entries)
+
+
+# -- oracle: the integer dot-product loops the packed products replaced --------
+
+def _gram(rows):
+    """rows · rowsᵀ, one dot product per entry of the upper triangle."""
+    gram = [[0] * len(rows) for _ in rows]
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            gram[i][j] = gram[j][i] = sum(map(mul, a, rows[j]))
+    return gram
+
+
+@pytest.mark.parametrize("family", sorted(_CATALOG_OF_FAMILY))
+def test_scaling_report_matches_the_dot_product_oracle(family):
+    catalog = subspace_catalog(_CATALOG_OF_FAMILY[family])
+    for m in _family_rules(family):
+        d = lcm(*[den for _, den in m.scaled.rows])
+        rows = [[x * (d // den) for x in row] for row, den in m.scaled.rows]
+        packed, packed_den = m.scaled.packed
+        assert (packed.rows, packed_den) == (rows, d)
+        report = scaling_report(m, catalog)
+        for entry, got in zip(catalog.entries, report.entries):
+            assert got.images == tuple(tuple(Fraction(x, d * e) for x in _dot_mat_vec(rows, u))
+                                       for u, e in entry.scaled.rows)
+        gram = _gram(rows)
+        same_space = m.outcome_space is m.ballot_space
+        for entry in (catalog if same_space else catalog_for_space(m.outcome_space)).entries:
+            us = [u for u, _ in entry.scaled.rows]
+            images = [_dot_mat_vec(gram, u) for u in us]
+            assert report.quadratic[entry.label] == _common_scalar(us, images, d * d)
 
 
 def _scaled_catalog(catalog, extra=()):

@@ -54,7 +54,9 @@ def is_zero(v):
 # (exact division by the previous pivot), so beside it the tests check the
 # back pass and the reading of the rows, not the forward algorithm.
 # _gcd_eliminate is the library's earlier integer routine, which divided every
-# combined row by the gcd of its entries instead.
+# combined row by the gcd of its entries instead.  _dot_mat_vec and
+# _span_solver_solve are the products and the solve that Packed and the
+# one-shot solve_in_span replaced.
 
 def _fraction_rref(rows):
     """Reduced row echelon form by Fraction row operations."""
@@ -199,6 +201,16 @@ def _augmented(columns, dim):
     """The integer rows of [A | I], A the given columns: what SpanSolver eliminates."""
     return [la._scaled_ints([col[i] for col in columns] + [int(i == j) for j in range(dim)])[0]
             for i in range(dim)]
+
+
+def _dot_mat_vec(rows, u):
+    """rows · u, one dot product per row: the loop Packed.apply replaced."""
+    return [sum(map(mul, row, u)) for row in rows]
+
+
+def _span_solver_solve(columns, target):
+    """The library's earlier solve_in_span: a SpanSolver factor of [A | I] per call."""
+    return la.SpanSolver(columns, len(target)).solve(target)
 
 
 def _gcd_solve(columns, target):
@@ -414,6 +426,14 @@ def full_column_rank_matrix(draw):
     return draw(st.permutations(rows))
 
 
+_P = 32749  # the certificate's prime
+
+
+def _certified(rows):
+    """Whether the rank certificate modulo _P accepts rows."""
+    return la._full_rank_mod_p([la._scaled_ints(row)[0] for row in rows], len(rows[0]))
+
+
 def _assert_unit_rows(rows):
     """_eliminate leaves unit rows over zero rows, and the oracles agree."""
     ncols = len(rows[0])
@@ -443,6 +463,8 @@ def test_full_column_rank_gives_unit_rows(rows):
 @settings(max_examples=150)
 def test_full_column_rank_matches_oracles(rows, target):
     _assert_unit_rows(rows)
+    # the drawn entries are small, so p divides no maximal minor: certified
+    assert _certified(rows)
     # the columns of rows as a spanning set: SpanSolver always runs the back pass
     columns = [list(col) for col in zip(*rows)]
     target = target[:len(rows)]
@@ -629,3 +651,205 @@ def test_mat_mul_and_transpose():
     assert la.mat_mul(a, identity_matrix(2)) == mat(a)
     assert transpose(transpose(a)) == mat(a)
     assert dot((1, 2, 3), (4, 5, 6)) == 32
+
+
+# -- packed lanes ------------------------------------------------------------------
+
+_LIMIT = 2**63
+
+_lane_entry = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-2**62, 2**62),
+    st.sampled_from([0, 2**62, -2**62, 2**62 - 1, 1 - 2**62]),
+)
+
+
+@st.composite
+def packed_case(draw):
+    """A matrix with drawn zero columns and a vector: small, near ±2⁶², or past the lane bound."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = draw(st.sampled_from([st.integers(-9, 9), _lane_entry]))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    rows = [[0 if j in zero_cols else draw(entry) for j in range(ncols)] for _ in range(nrows)]
+    u = draw(st.one_of(st.just([0] * ncols),
+                       st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                       st.lists(_lane_entry, min_size=ncols, max_size=ncols)))
+    return rows, u
+
+
+@given(packed_case())
+@settings(max_examples=400)
+def test_packed_apply_matches_dot_products(case):
+    rows, u = case
+    got = la.Packed(rows).apply(u)
+    assert type(got) is tuple and list(got) == _dot_mat_vec(rows, u)
+
+
+@pytest.mark.parametrize("rows,u", [
+    ([], []),  # empty matrix
+    ([[1, -2, 3], [0, 0, 0]], [0, 0, 0]),  # zero vector
+    ([[0, 5, 0], [0, -7, 0]], [4, -1, 9]),  # zero columns
+    ([[2**62, -2**62], [1 - 2**62, 2**62 - 1]], [1, 0]),  # lanes at ±2⁶², inside the bound
+    ([[2**62 - 1, 2**62 - 1], [-(2**62 - 1), 3]], [1, -1]),  # bound·Σ|u| = 2⁶³ − 2
+    ([[2**62, 2**62], [-2**62, -2**62]], [1, 1]),  # ±2⁶³: one past the bound
+    ([[2**62], [-2**62]], [5]),  # lanes would wrap: the dot branch must run
+    ([[2**64, -3], [1, 2**70]], [2, 1]),  # entries no lane can hold
+    ([[2**64, -3], [1, 2**70]], [0, 0]),
+], ids=["empty", "zero-vector", "zero-columns", "lane-extremes", "just-inside",
+        "just-past", "wrapping", "unpackable", "unpackable-zero"])
+def test_packed_apply_edge_cases(rows, u):
+    packed = la.Packed(rows)
+    assert list(packed.apply(u)) == _dot_mat_vec(rows, u)
+    inside = packed.bound * sum(map(abs, u)) < _LIMIT
+    # inside the bound every lane of the product fits a signed 64-bit lane
+    assert not inside or all(-_LIMIT <= x < _LIMIT for x in _dot_mat_vec(rows, u))
+
+
+@given(rational_matrix(), st.lists(_entry, min_size=7, max_size=7))
+def test_mat_vec_matches_fraction_dot_products(rows, entries):
+    v = entries[:len(rows[0]) if rows else 3]
+    want = tuple(dot(row, v) for row in rows)
+    assert la.mat_vec(rows, v) == want
+    scaled = la.ScaledMatrix(rows)
+    assert la.mat_vec(scaled, v) == la.mat_vec(scaled, v) == want
+    assert scaled.packed is scaled.packed  # packed once
+
+
+@given(rational_matrix())
+def test_mat_mul_matches_fraction_dot_products(rows):
+    cols = transpose(rows)
+    assert la.mat_mul(rows, cols) == tuple(tuple(dot(a, b) for b in rows) for a in rows)
+    assert la.mat_mul(cols, rows) == tuple(tuple(dot(a, b) for b in cols) for a in cols)
+
+
+def _fraction_projection(rows, v):
+    """Projection onto the span of rows by Fraction normal equations on their RREF rows."""
+    basis, _ = _fraction_rref(rows)
+    coeffs = _oracle_solve([[dot(a, b) for b in basis] for a in basis], [dot(a, v) for a in basis])
+    projection = la.zeros(len(v))
+    for c, b in zip(coeffs, basis):
+        projection = add(projection, scale(c, b))
+    return projection
+
+
+@given(elimination_matrix(), st.lists(_entry, min_size=7, max_size=7))
+@settings(max_examples=150)
+def test_project_onto_any_spanning_set(rows, entries):
+    # dependent, duplicate and zero rows: the normal equations are singular
+    # then, and still give the one projection
+    v = entries[:len(rows[0])]
+    want = _fraction_projection(rows, v)
+    assert la.project_onto_span(rows, v) == want
+    assert la.project_onto_span(la.ScaledMatrix(rows), v) == want
+    assert la.project_onto_span(la.Echelon(rows), v) == want
+
+
+# -- the rank certificate modulo p ----------------------------------------------------
+
+def test_the_certificate_prime():
+    # trial division by 2..181 decides primality below 182² > 2¹⁵
+    def is_prime(q):
+        return all(q % f for f in range(2, 182))
+
+    assert _P == la._PRIME and (_P - 1) ** 2 < 2**30
+    assert is_prime(_P) and not any(map(is_prime, range(_P + 1, 2**15)))
+
+
+@given(elimination_matrix())
+@settings(max_examples=300)
+def test_certificate_implies_full_rank(rows):
+    ncols = len(rows[0])
+    full = len(_fraction_rref(rows)[1]) == ncols
+    if _certified(rows):
+        assert full
+    m = [la._scaled_ints(row)[0] for row in rows]
+    assert (la._eliminate(m, ncols) == list(range(ncols))) == full
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+    [[1, 2], [2, 4]],
+    [[0, 0, 0], [1, 2, 3], [4, 5, 6]],
+    [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 1], [1, 2, 1]],
+], ids=["square-rank-2", "square-rank-1", "zero-row", "tall-rank-2"])
+def test_certificate_refuses_rank_deficient_matrices(rows):
+    assert not _certified(rows)
+    assert la.rank(rows) == len(_fraction_rref(rows)[1]) < len(rows[0])
+    assert la.nullspace(rows) == _fraction_nullspace(rows) != []
+
+
+@pytest.mark.parametrize("rows", [
+    [[_P if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)],
+    [[_P, 1], [2 * _P, 3]],  # determinant p
+    [[_P], [2 * _P]],  # tall, every entry divisible by p
+    [[1, 2, 0], [3, 6 + _P, 0], [0, 0, 5]],  # determinant 5p, no entry a multiple of p
+], ids=["diag-p-1-1-1", "det-p", "tall-multiples-of-p", "det-5p"])
+def test_bareiss_decides_when_p_divides_every_maximal_minor(rows):
+    assert not _certified(rows)
+    _assert_unit_rows(rows)  # full column rank all the same
+
+
+@given(full_column_rank_matrix())
+@settings(max_examples=50)
+def test_certified_and_bareiss_paths_agree(rows):
+    ncols = len(rows[0])
+    certified = [la._scaled_ints(row)[0] for row in rows]
+    assert la._eliminate(certified, ncols) == list(range(ncols))
+    real = la._full_rank_mod_p
+    try:
+        la._full_rank_mod_p = lambda m, ncols: False
+        fallback = [la._scaled_ints(row)[0] for row in rows]
+        assert la._eliminate(fallback, ncols) == list(range(ncols))
+    finally:
+        la._full_rank_mod_p = real
+    assert certified == fallback
+
+
+# -- the one-shot solve ----------------------------------------------------------------
+
+@given(rational_matrix(), st.lists(_entry, min_size=7, max_size=7), st.integers(0, 2))
+@settings(max_examples=200)
+def test_solve_in_span_matches_the_span_solver(rows, coeffs, mode):
+    # the rows serve as columns: dependent ones (weight 0), zero ones, and
+    # targets inside the span (mode > 0) or mostly outside it (mode 0)
+    dim = len(rows[0]) if rows else len(coeffs) % 4
+    if mode == 0:
+        target = list(coeffs[:dim])
+    else:
+        target = la.zeros(dim)
+        for c, col in zip(coeffs, rows):
+            target = add(target, scale(c, col))
+    got = la.solve_in_span(rows, target)
+    assert got == _span_solver_solve(rows, target) == _oracle_solve(rows, target)
+    assert got is None or type(got) is list
+
+
+@pytest.mark.parametrize("columns,target,want", [
+    ([], (), []),  # k = 0, dim = 0
+    ([], (0, 0), []),  # k = 0
+    ([], (0, 1), None),
+    ([(), ()], (), [0, 0]),  # dim = 0
+    ([(1, 2), (2, 4), (0, 1)], (3, 7), [3, 0, 1]),  # the dependent column gets weight 0
+    ([(1, 2), (2, 4)], (1, 3), None),  # outside the span
+    ([(0, 0), (1, 1)], (2, 2), [0, 2]),  # a zero column gets weight 0
+    ([(Fraction(1, 2), 0), (0, Fraction(1, 3))], (1, 1), [2, 3]),
+], ids=["empty", "no-columns", "no-columns-outside", "dim-0", "dependent", "outside",
+        "zero-column", "fractional"])
+def test_solve_in_span_edge_cases(columns, target, want):
+    got = la.solve_in_span(columns, target)
+    assert got == want == _span_solver_solve(columns, target)
+    with pytest.raises(ValueError):
+        la.solve_in_span(list(columns) + [(1,) * (len(target) + 1)], target)
+
+
+def test_solve_in_span_checks_its_answer(monkeypatch):
+    real = la._eliminate
+
+    def corrupted(m, pivot_cols):
+        pivots = real(m, pivot_cols)
+        m[0][pivot_cols] += 1  # b's entry in pivot row 0
+        return pivots
+
+    monkeypatch.setattr(la, "_eliminate", corrupted)
+    with pytest.raises(ArithmeticError, match="miss b"):
+        la.solve_in_span([(1, 0), (0, 1)], (3, 4))
