@@ -468,6 +468,12 @@ def generic4_scalars_to_params(t: Fraction, u: Fraction, v: Fraction) -> tuple[F
 
 # -- masking profiles ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _favorite_indices(space: BallotSpace, outcomes: BallotSpace) -> tuple[int, ...]:
+    """The index in outcomes of each ballot's favorite_order, read once per pair of spaces."""
+    return tuple(outcomes.index_of(favorite_order(b, space.n)) for b in space.ballots)
+
+
 def masking_profile(
     m: ScoringMatrix,
     target: CyclicOrder,
@@ -503,13 +509,13 @@ def masking_profile(
     # M^T (e_target - e_reversal) as diff / ddiff, from the rule's integer rows
     packed, ddiff = m.scaled.packed
     index = m.outcome_space.index_of
-    diff = [x - y for x, y in zip(packed.rows[index(target)],
-                                  packed.rows[index(reverse_order(target))])]
+    aim, away = index(target), set(map(index, decoys))
+    diff = [x - y for x, y in zip(packed.rows[aim], packed.rows[index(reverse_order(target))])]
 
-    favorites = [favorite_order(b, space.n) for b in space.ballots]
-    boost, dboost = _kernel_part(m, [int(fav in decoys) for fav in favorites])
+    favorites = _favorite_indices(space, m.outcome_space)
+    boost, dboost = _kernel_part(m, [int(fav in away) for fav in favorites])
     if not any(boost):
-        drain, dboost = _kernel_part(m, [int(fav == target) for fav in favorites])
+        drain, dboost = _kernel_part(m, [int(fav == aim) for fav in favorites])
         boost = [-x for x in drain]
     if not any(boost):
         raise MaskingInfeasibleError(
@@ -522,7 +528,7 @@ def masking_profile(
     den = lcm(ddiff, dboost)
     a = [x * (den // ddiff) for x in diff]
     b = [x * (den // dboost) for x in boost]
-    masked_flags = [fav != target for fav in favorites]
+    masked_flags = [fav != aim for fav in favorites]
     for doublings in range(24):
         candidate = [x + (y << doublings) for x, y in zip(a, b)]
         low = min(candidate)

@@ -8,19 +8,23 @@ with the irreducible characters give multiplicities.
 
 The action is read from ``act`` once per generator and once per class
 representative and checked by the Coxeter relations; no element of S_n is
-enumerated (_transposition_moves).  The central sums p1 = sum of X_k and
-p2 = sum of X_k^2 of the Jucys-Murphy elements X_k = sum over i < k of (i k)
-act on each isotypic component by a scalar, so a product of them projects
-onto one.  project_vector applies that product to the vector itself, each
-X_k by gathering the vector through the moves of its transpositions.
+enumerated (_transposition_moves).  The component on the trivial partition
+(n) is the vector's average over each orbit of the indices, read off the
+orbit table (_orbit_ids).  The central sums p1 = sum of X_k and p2 = sum of
+X_k^2 of the Jucys-Murphy elements X_k = sum over i < k of (i k) act on each
+isotypic component by a scalar, so a product of them projects onto one.
+For any other partition project_vector applies that product, less the factor
+that only (n) needs, to the vector itself, each X_k by gathering the vector
+through the moves of its transpositions, and then removes what the product
+leaves of the trivial component.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate, combinations_with_replacement
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import itemgetter
 
 from . import _linalg as la
@@ -49,13 +53,14 @@ class ActionSpace:
     """A basis 0..dim-1 with an S_n action: act(sigma, i) is an index.
 
     The integer views of the action (the moves of the generators and class
-    representatives, the checked transposition gathers, the multiplicities)
-    are computed on first use and cached on the instance.  None depends on a
-    partition: a projection onto any lam applies its central product through
-    them.  Spaces compare and hash by identity, so two spaces with equal dim,
-    n and name but different actions are unequal, and no cache is shared
-    between them.  A subclass such as ballots.BallotSpace sets the fields
-    through this constructor; nothing assigns to them afterwards.
+    representatives, the checked transposition gathers, the orbits, the
+    multiplicities) are computed on first use and cached on the instance.
+    None depends on a partition: a projection onto any lam applies its
+    central product through them.  Spaces compare and hash by identity, so
+    two spaces with equal dim, n and name but different actions are unequal,
+    and no cache is shared between them.  A subclass such as
+    ballots.BallotSpace sets the fields through this constructor; nothing
+    assigns to them afterwards.
     """
 
     def __init__(self, dim: int, n: int, act: Callable[[Permutation, int], int], name: str = ""):
@@ -92,6 +97,43 @@ class ActionSpace:
     def transposition_moves(self) -> tuple[tuple[Gather, ...], ...]:
         """Per k = 1..n-1, gathers through the moves of (i k), i < k; see _transposition_moves."""
         return _transposition_moves(self)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The orbit id of each index and the indices of each orbit, ids in scan order.
+
+        The orbits are those of the generator moves, read once the action
+        they generate has passed the checks of transposition_moves.
+        """
+        self.transposition_moves  # the checks of the action come first
+        ids, count = _orbit_ids(self.dim, self.generator_moves)
+        members: list[list[int]] = [[] for _ in range(count)]
+        for i, orbit in enumerate(ids):
+            members[orbit].append(i)
+        return ids, tuple(map(tuple, members))
+
+
+def _orbit_ids(size: int, moves: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """The orbit id of each index 0..size-1 under the index moves, and the orbit count.
+
+    Each index not yet reached starts a first-come search of its orbit, so ids
+    are numbered in the order the scan meets the orbits.
+    """
+    ids = [-1] * size
+    count = 0
+    for start in range(size):
+        if ids[start] >= 0:
+            continue
+        ids[start] = count
+        queue = [start]
+        for i in queue:  # queue grows while it is read: FIFO order
+            for move in moves:
+                j = move[i]
+                if ids[j] < 0:
+                    ids[j] = count
+                    queue.append(j)
+        count += 1
+    return tuple(ids), count
 
 
 def _after(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -191,6 +233,7 @@ def decompose_character(chi: ClassFunction) -> DecompositionReport:
     return report
 
 
+@cache
 def _content_sums(lam: Partition) -> tuple[int, int]:
     """The sums of lam's contents col - row and of their squares: p1's and p2's scalars on V_lam."""
     contents = [col - row for row, part in enumerate(lam.parts) for col in range(part)]
@@ -210,12 +253,16 @@ def isotypic_projector(space: ActionSpace, lam: Partition) -> la.Matrix:
 def project_vector(v: Sequence, space: ActionSpace, lam: Partition) -> la.Vector:
     """Component of v in the lam-isotypic part; components over all lam sum to v.
 
-    P v is the product over the other partitions mu present of
-    (C - c_mu)/(c_lam - c_mu) applied to v: C is p1 = sum of X_k, or p2 = sum
-    of X_k^2 where p1's scalars agree, with X_k = sum over i < k of (i k), and
-    c_mu is C's scalar on V_mu.  The product runs in integers on w = D*v, D the
-    lcm of v's denominators, each X_k gathering the vector through the moves
-    of its transpositions; the dense P is never built.  An absent lam gives 0.
+    The (n) component is v's average over each orbit.  For any other lam,
+    P v = (Q v - k m)/den, m the (n) component: Q is the product over the
+    partitions mu present other than lam and (n) of (C - c_mu), C being
+    p1 = sum of X_k, or p2 = sum of X_k^2 where p1's scalars agree, with
+    X_k = sum over i < k of (i k), and c_mu C's scalar on V_mu; den and k are
+    Q's scalars on V_lam and V_(n), and Q is 0 on every other component.  Q
+    runs in integers on w = D*v, D the lcm of v's denominators, each X_k
+    gathering the vector through the moves of its transpositions, and m
+    enters as s*m, s the lcm of the orbit sizes; the dense P is never built.
+    An absent lam gives 0.
     """
     if len(v) != space.dim:
         raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
@@ -225,10 +272,19 @@ def project_vector(v: Sequence, space: ActionSpace, lam: Partition) -> la.Vector
     if not present[lam]:
         return la.zeros(space.dim)
     x, d = la._scaled_ints(v)
-    target, scale = _content_sums(lam), factorial(n) // specht_dimension(lam)
-    others = [_content_sums(mu) for mu in partitions(n) if mu != lam and present[mu]]
+    ids, orbits = space.orbits
+    s = lcm(*map(len, orbits))
+    sums = [s // len(orbit) * sum(map(x.__getitem__, orbit)) for orbit in orbits]
+    mean = list(map(sums.__getitem__, ids))  # s times the (n) component of x
+    if len(lam.parts) <= 1:  # lam = (n), or () at n = 0
+        return la._fractions(mean, s * d)
+    target, trivial = _content_sums(lam), _content_sums(Partition((n,)))
+    scale = factorial(n) // specht_dimension(lam)
+    others = [_content_sums(mu) for mu in partitions(n)
+              if mu != lam and len(mu.parts) > 1 and present[mu]]
     factors = {(1, c[0]) if c[0] != target[0] else (2, c[1]) for c in others}  # (power, c_mu)
     den = prod(target[power - 1] - c for power, c in factors)
+    k = prod(trivial[power - 1] - c for power, c in factors)
     if not den:  # p1 and p2 together separate the partitions of n <= 14 only
         raise ValueError(f"p1 and p2 do not separate {lam} from the other partitions present")
     for power, c in factors:  # x <- (sum over k of X_k^power - c) x
@@ -237,11 +293,13 @@ def project_vector(v: Sequence, space: ActionSpace, lam: Partition) -> la.Vector
             ys = [list(map(sum, zip(*(g(y) for g in xk)))) for y, xk in zip(ys, moves)]
         cx = map(sum, zip(*(g(y) for y, xk in zip(ys, moves) for g in xk)))
         x = [a - c * z for a, z in zip(cx, x)]
+    # the trivial part goes last, so the loop's integers stay as small as w's
+    x = [s * y - k * z for y, z in zip(x, mean)]
     # (n!/dim lam) P is the integer matrix sum over g of chi_lam(g) rho(g): a remainder
     # means the product is no projector
-    if any(scale * y % den for y in x):
+    if any(scale * y % (den * s) for y in x):
         raise ValueError(f"action {space.name!r}: the central product for {lam} is not integral")
-    return tuple(Fraction(y, den * d) for y in x)
+    return la._fractions(x, den * s * d)
 
 
 def is_equivariant_matrix(space: ActionSpace, matrix: Sequence[Sequence],

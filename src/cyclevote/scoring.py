@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -36,7 +37,7 @@ from .cyclic_orders import (
     parse_order,
     transposition_distance,
 )
-from .representation import is_equivariant_matrix
+from .representation import _orbit_ids, is_equivariant_matrix
 
 
 class SeedConflictError(ValueError):
@@ -103,24 +104,11 @@ def _pair_orbits(ballot_space: BallotSpace) -> tuple[tuple[int, ...], int]:
     """
     outcomes = outcome_space(ballot_space.n)
     n_out, n_bal = len(outcomes), len(ballot_space)
-    ids = [-1] * (n_out * n_bal)
-    ballot_moves = ballot_space.generator_moves
-    outcome_moves = outcomes.generator_moves
-    count = 0
-    for start in range(n_out * n_bal):
-        if ids[start] >= 0:
-            continue
-        ids[start] = count
-        queue = [start]
-        for cell in queue:  # queue grows while it is read: FIFO order
-            h, g = divmod(cell, n_bal)
-            for om, bm in zip(outcome_moves, ballot_moves):
-                nxt = om[h] * n_bal + bm[g]
-                if ids[nxt] < 0:
-                    ids[nxt] = count
-                    queue.append(nxt)
-        count += 1
-    return tuple(ids), count
+    # cell h * n_bal + g moves to om[h] * n_bal + bm[g]; an array keeps the
+    # n_out * n_bal entries as machine ints, not one int object each
+    moves = [array("l", (h * n_bal + g for h in om for g in bm))
+             for om, bm in zip(outcomes.generator_moves, ballot_space.generator_moves)]
+    return _orbit_ids(n_out * n_bal, moves)
 
 
 def orbit_count(ballot_space: BallotSpace) -> int:

@@ -626,7 +626,8 @@ def test_masking_profile_requires_a_raw_weight_majority(monkeypatch):
     import cyclevote.analysis as analysis
 
     target = parse_order("(ACBD)")
-    monkeypatch.setattr(analysis, "favorite_order", lambda b, n: target)
+    monkeypatch.setattr(analysis, "_favorite_indices",
+                        lambda space, outcomes: (outcomes.index_of(target),) * len(space))
     monkeypatch.setattr(la, "project_onto_span", lambda rows, v: la.zeros(len(v)))
     with pytest.raises(MaskingInfeasibleError, match="majority"):
         masking_profile(rule("rolo21"), target, {parse_order("(ABCD)")}, 1)

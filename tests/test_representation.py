@@ -3,7 +3,7 @@ from collections import deque
 from itertools import combinations
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 import pytest
@@ -375,6 +375,67 @@ def test_project_vector_matches_the_base_row_dot(name):
         assert project_vector(v, space, lam) == _base_row_dot(v, table, bases, lam), lam
 
 
+def _central_product_oracle(v, space, lam):
+    """project_vector as it was before the (n) component came from orbit averages.
+
+    P v is the product over the other partitions mu present of
+    (C - c_mu)/(c_lam - c_mu) applied to v: C is p1 = sum of X_k, or p2 = sum
+    of X_k^2 where p1's scalars agree, with X_k = sum over i < k of (i k), and
+    c_mu is C's scalar on V_mu.  The product runs in integers on w = D*v, D the
+    lcm of v's denominators, each X_k gathering the vector through the moves
+    of its transpositions; the dense P is never built.  An absent lam gives 0.
+    """
+    if len(v) != space.dim:
+        raise ValueError(f"length mismatch: {len(v)} vs {space.dim}")
+    if lam.n != space.n:
+        raise ValueError(f"degree mismatch: {lam.n} vs {space.n}")
+    n, moves, present = space.n, space.transposition_moves, space.multiplicities
+    if not present[lam]:
+        return la.zeros(space.dim)
+    x, d = la._scaled_ints(v)
+    target, scale = representation._content_sums(lam), factorial(n) // specht_dimension(lam)
+    others = [representation._content_sums(mu) for mu in partitions(n)
+              if mu != lam and present[mu]]
+    factors = {(1, c[0]) if c[0] != target[0] else (2, c[1]) for c in others}  # (power, c_mu)
+    den = prod(target[power - 1] - c for power, c in factors)
+    if not den:  # p1 and p2 together separate the partitions of n <= 14 only
+        raise ValueError(f"p1 and p2 do not separate {lam} from the other partitions present")
+    for power, c in factors:  # x <- (sum over k of X_k^power - c) x
+        ys = [x] * len(moves)  # X_k^(power-1) x; a transposition's move is an involution
+        for _ in range(power - 1):
+            ys = [list(map(sum, zip(*(g(y) for g in xk)))) for y, xk in zip(ys, moves)]
+        cx = map(sum, zip(*(g(y) for y, xk in zip(ys, moves) for g in xk)))
+        x = [a - c * z for a, z in zip(cx, x)]
+    # (n!/dim lam) P is the integer matrix sum over g of chi_lam(g) rho(g): a remainder
+    # means the product is no projector
+    if any(scale * y % den for y in x):
+        raise ValueError(f"action {space.name!r}: the central product for {lam} is not integral")
+    return tuple(Fraction(y, den * d) for y in x)
+
+
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
+def test_project_vector_matches_the_central_product_oracle(name):
+    space = _oracle_space(name)
+    table = _table_oracle(space)
+    orbits = [sorted({row[i] for row in table.values()}) for i in range(space.dim)]
+    if name == "several orbits":  # the lcm of the orbit sizes is not the dimension
+        assert sorted(set(map(len, orbits))) == [1, 6, 24]
+    rng = random.Random(f"central product {name}")
+    vectors = {"integer": [rng.randint(-9, 9) for _ in range(space.dim)],
+               "fractional": _seeded_vector(f"central product {name}", space.dim),
+               "zero": [0] * space.dim}
+    trivial = Partition((space.n,))
+    for kind, v in vectors.items():
+        acc = la.zeros(space.dim)
+        for lam in partitions(space.n):
+            component = project_vector(v, space, lam)
+            assert component == _central_product_oracle(v, space, lam), (kind, lam)
+            acc = add(acc, component)
+        assert acc == la.vec(v), kind
+        average = tuple(Fraction(sum(v[j] for j in orbit), len(orbit)) for orbit in orbits)
+        assert project_vector(v, space, trivial) == average, kind
+
+
 def _relabelled_action(rng, n):
     """The moves of a genuine action of S_n on at most 6 points, in random index order.
 
@@ -543,9 +604,9 @@ def test_base_rows_must_come_out_integral(monkeypatch):
         x + (lam == Partition((2, 2))) for x in content_sums(lam)))
     space = _fresh_action("cyclic", 4, "paper")
     e_0 = (1,) + (0,) * (space.dim - 1)
-    with pytest.raises(ValueError, match="^action 'cyclic4': the central product for 4 is not "
-                                         "integral$"):
-        project_vector(e_0, space, Partition((4,)))
+    with pytest.raises(ValueError, match="^action 'cyclic4': the central product for 2\\+1\\+1 "
+                                         "is not integral$"):
+        project_vector(e_0, space, Partition((2, 1, 1)))
 
 
 def test_partitions_that_p1_and_p2_cannot_separate_are_refused(monkeypatch):
