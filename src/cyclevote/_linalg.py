@@ -13,8 +13,9 @@ turns it into the lane's two's complement, so one `struct` unpack reads the
 entries back.  That is exact while every entry of M u lies in [−2⁶³, 2⁶³),
 which max|M[i][j]|·Σ|u[j]| < 2⁶³ guarantees; past that bound `Packed` takes
 one dot product per row, the only matrix-vector loop in the library.  A
-`ScaledMatrix` packs its rows once, over their least common denominator, and
-a product builds one Fraction per distinct value.
+rational matrix is one `Packed` over a denominator: `Packed.of` clears it
+over the lcm of all its denominators, and a product builds one Fraction per
+distinct value.
 
 Elimination.  All row reduction is one fraction-free Gauss–Jordan routine,
 `_eliminate`, on rows cleared of denominators.  When pivots are sought in
@@ -48,7 +49,7 @@ spanning set B by one `solve_in_span` and returns Bᵀ c.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -70,15 +71,6 @@ def zeros(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def _q(x) -> Fraction:
-    """x as a Fraction; a Fraction is passed through, not rebuilt."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(_q(a) - _q(b) for a, b in zip(u, v, strict=True))
-
-
 def _scaled_ints(v: Sequence) -> tuple[list[int], int]:
     """Write v as (integer vector) / denominator, exactly."""
     ratios = [x.as_integer_ratio() for x in v]
@@ -93,17 +85,19 @@ def _fractions(ints: Sequence[int], den: int) -> Vector:
 
 
 class Packed:
-    """An integer matrix with each column packed into 64-bit lanes of one int.
+    """An integer matrix over a denominator, each column packed into 64-bit lanes of one int.
 
-    apply(u) returns M u as a tuple of ints: one sum of packed columns times
-    the entries of u, read back by one unpack, when max|entry|·Σ|u| < 2⁶³,
-    and one dot product per row otherwise.  rows keeps the matrix as given.
+    The matrix stands for rows / den.  apply(u) returns rows · u as a tuple of
+    ints: one sum of packed columns times the entries of u, read back by one
+    unpack, when max|entry|·Σ|u| < 2⁶³, and one dot product per row
+    otherwise.  rows keeps the integer matrix as given.
     """
 
-    __slots__ = ("rows", "bound", "_columns", "_bias", "_nbytes", "_unpack")
+    __slots__ = ("rows", "den", "bound", "_columns", "_bias", "_nbytes", "_unpack")
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
+    def __init__(self, rows: Sequence[Sequence[int]], den: int = 1):
         self.rows = rows
+        self.den = den
         self.bound = max(map(abs, chain.from_iterable(rows)), default=0)
         lanes = Struct(f"<{len(rows)}q")
         self._unpack = lanes.unpack
@@ -116,6 +110,13 @@ class Packed:
             self._columns = [(int.from_bytes(lanes.pack(*col), "little") ^ bias) - bias
                              for col in zip(*rows)]
 
+    @classmethod
+    def of(cls, m: Iterable[Sequence]) -> Packed:
+        """The rational matrix m, cleared over the lcm of all its denominators."""
+        ratios = [[x.as_integer_ratio() for x in row] for row in m]
+        den = lcm(*[d for row in ratios for _, d in row])
+        return cls([[n * (den // d) for n, d in row] for row in ratios], den)
+
     def apply(self, u: Sequence[int]) -> tuple[int, ...]:
         if self._columns is None or self.bound * sum(map(abs, u)) >= _LANE_LIMIT:
             return tuple(sum(map(mul, row, u)) for row in self.rows)
@@ -124,37 +125,19 @@ class Packed:
             (sum(map(mul, self._columns, u), bias) ^ bias).to_bytes(self._nbytes, "little"))
 
 
-class ScaledMatrix:
-    """A rational matrix held as (integer row, denominator) pairs.
-
-    mat_vec accepts one in place of the matrix, so a matrix multiplied many
-    times clears the denominators of its rows, and packs them, only once.
-    """
-
-    __slots__ = ("rows", "_packed")
-
-    def __init__(self, m: Sequence[Sequence]):
-        self.rows = [_scaled_ints(row) for row in m]
-        self._packed = None
-
-    @property
-    def packed(self) -> tuple[Packed, int]:
-        """(Packed(N), d) with N = d·M for the least common denominator d of the rows."""
-        if self._packed is None:
-            d = lcm(*[den for _, den in self.rows])
-            self._packed = Packed([[x * (d // den) for x in row] for row, den in self.rows]), d
-        return self._packed
+def _packed(m: Sequence[Sequence] | Packed) -> Packed:
+    return m if isinstance(m, Packed) else Packed.of(m)
 
 
-def mat_vec(m: Sequence[Sequence] | ScaledMatrix, v: Sequence) -> Vector:
-    packed, d = (m if isinstance(m, ScaledMatrix) else ScaledMatrix(m)).packed
+def mat_vec(m: Sequence[Sequence] | Packed, v: Sequence) -> Vector:
+    packed = _packed(m)
     nv, dv = _scaled_ints(v)
-    return _fractions(packed.apply(nv), d * dv)
+    return _fractions(packed.apply(nv), packed.den * dv)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    packed, db = ScaledMatrix(zip(*b)).packed  # row i of a·b is bᵀ applied to row i of a
-    return tuple(_fractions(packed.apply(nr), dr * db) for nr, dr in ScaledMatrix(a).rows)
+    columns = Packed.of(zip(*b))  # row i of a·b is bᵀ applied to row i of a
+    return tuple(mat_vec(columns, row) for row in a)
 
 
 def _full_rank_mod_p(m: list[list[int]], ncols: int) -> bool:
@@ -270,17 +253,17 @@ class Echelon:
 
     rank, nullspace, rref and project_onto_span accept one in place of the
     matrix, so a matrix that several of them read is eliminated only once.  A
-    ScaledMatrix is accepted in place of the matrix, so rows whose
-    denominators are already cleared are not cleared again.  The pivot-row
-    property of _eliminate is checked on construction: pivot row i is nonzero
-    in pivot column i and zero in every other pivot column.
+    Packed is accepted in place of the matrix, so rows whose denominators are
+    already cleared are not cleared again.  The pivot-row property of
+    _eliminate is checked on construction: pivot row i is nonzero in pivot
+    column i and zero in every other pivot column.
     """
 
     __slots__ = ("rows", "pivots", "ncols")
 
-    def __init__(self, m: Sequence[Sequence] | ScaledMatrix):
-        if isinstance(m, ScaledMatrix):
-            rows = [list(row) for row, _ in m.rows]
+    def __init__(self, m: Sequence[Sequence] | Packed):
+        if isinstance(m, Packed):
+            rows = [list(row) for row in m.rows]
         else:
             rows = [_scaled_ints(row)[0] for row in m]
         self.ncols = len(rows[0]) if rows else 0
@@ -331,7 +314,7 @@ def rref(rows: Sequence[Sequence] | Echelon) -> tuple[list[Vector], list[int]]:
             list(ech.pivots))
 
 
-def project_onto_span(rows: Sequence[Sequence] | ScaledMatrix | Echelon, v: Sequence) -> Vector:
+def project_onto_span(rows: Sequence[Sequence] | Packed | Echelon, v: Sequence) -> Vector:
     """Orthogonal projection of v onto the span of rows, by the exact normal equations.
 
     Any spanning set serves, so the rows are used as given, over one common
@@ -339,10 +322,7 @@ def project_onto_span(rows: Sequence[Sequence] | ScaledMatrix | Echelon, v: Sequ
     integer rows, every solution c of (B Bᵀ) c = B v gives the same Bᵀ c, the
     projection, and solve_in_span finds one even when the rows are dependent.
     """
-    if isinstance(rows, Echelon):
-        packed = Packed(rows.rows)
-    else:
-        packed = (rows if isinstance(rows, ScaledMatrix) else ScaledMatrix(rows)).packed[0]
+    packed = Packed(rows.rows) if isinstance(rows, Echelon) else _packed(rows)
     basis = packed.rows
     if not basis:
         return zeros(len(v))

@@ -98,12 +98,11 @@ def tally(m: ScoringMatrix, p: Profile) -> TallyResult:
     if p.space is not m.ballot_space:
         what = "is another object than" if repr(p.space) == repr(m.ballot_space) else "!="
         raise ValueError(f"profile space {p.space!r} {what} rule ballot space {m.ballot_space!r}")
-    packed, d = m.scaled.packed
     nv, dv = la._scaled_ints(p.weights)
-    keys = packed.apply(nv)
+    keys = m.packed.apply(nv)
     top = max(keys)
     winners = frozenset(compress(m.outcome_space.ballots, [k == top for k in keys]))
-    return TallyResult(la._fractions(keys, d * dv), winners)
+    return TallyResult(la._fractions(keys, m.packed.den * dv), winners)
 
 
 def kernel_basis(m: ScoringMatrix) -> list[la.Vector]:
@@ -123,14 +122,14 @@ class CatalogEntry(Record, fields=("label", "partition", "vectors")):
         self.__dict__.update(label=label, partition=partition, vectors=vectors)
 
     @cached_property
-    def scaled(self) -> la.ScaledMatrix:
-        """The vectors as (integer row, denominator) rows, cleared once."""
-        return la.ScaledMatrix(self.vectors)
+    def packed(self) -> la.Packed:
+        """The vectors as integer rows over one denominator, cleared once."""
+        return la.Packed.of(self.vectors)
 
     @cached_property
-    def columns(self) -> la.ScaledMatrix:
+    def columns(self) -> la.Packed:
         """The vectors as matrix columns, cleared once, for expanding coefficients."""
-        return la.ScaledMatrix(zip(*self.vectors))
+        return la.Packed.of(zip(*self.vectors))
 
 
 class SubspaceCatalog(Record, fields=("space_id", "n", "dim", "entries")):
@@ -386,25 +385,27 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
     eigenvalue of M Mᵀ on each outcome-catalog entry.
 
     The work runs in integers.  M is written as N / d with one common
-    denominator d, packed once per rule (ScaledMatrix.packed), and a catalog
-    vector v as u / e, so that M v = N u / (d e) and M Mᵀ v = (N Nᵀ) u / (d² e),
-    each one packed product, with N Nᵀ built and packed once per report.
-    Whether an integer image w is a multiple of u is the cross-multiplication
-    test w[i] u[p] == w[p] u[i], and the multiple w[p] / (d u[p]) does not
-    depend on e.  Fractions are built only for the fields of the report.
+    denominator d, packed once per rule (ScoringMatrix.packed), and the
+    vectors of a catalog entry as u / e with one denominator e per entry
+    (CatalogEntry.packed), so that M v = N u / (d e) and
+    M Mᵀ v = (N Nᵀ) u / (d² e), each one packed product, with N Nᵀ built and
+    packed once per report.  Whether an integer image w is a multiple of u is
+    the cross-multiplication test w[i] u[p] == w[p] u[i], and the multiple
+    w[p] / (d u[p]) does not depend on e.  Fractions are built only for the
+    fields of the report.
     """
     _check_catalog(catalog, m.ballot_space)
     same_space = m.outcome_space is m.ballot_space
     out_catalog = catalog if same_space else catalog_for_space(m.outcome_space)
-    packed, d = m.scaled.packed
+    packed, d = m.packed, m.packed.den
 
     zero = Fraction(0)
     entries = []
     for entry in catalog.entries:
-        vectors = entry.scaled.rows
-        products = [packed.apply(u) for u, _ in vectors]
-        images = tuple(la._fractions(w, d * e) for w, (_, e) in zip(products, vectors))
-        scalar = _common_scalar([u for u, _ in vectors], products, d) if same_space else None
+        vectors, e = entry.packed.rows, entry.packed.den
+        products = [packed.apply(u) for u in vectors]
+        images = tuple(la._fractions(w, d * e) for w in products)
+        scalar = _common_scalar(vectors, products, d) if same_space else None
         if scalar is not None:
             kind = "zero" if scalar == 0 else "scalar"
             entries.append(EntryScaling(entry.label, entry.partition, kind, scalar, images, None))
@@ -415,14 +416,14 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
         coords = None
         if expand_images:
             solve = out_catalog.solver.solve_ints
-            coords = tuple(tuple(solve(w, d * e) or ()) for w, (_, e) in zip(products, vectors))
+            coords = tuple(tuple(solve(w, d * e) or ()) for w in products)
         entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
 
     # N Nᵀ is symmetric, and its column i is N applied to row i of N
     gram = la.Packed([packed.apply(row) for row in packed.rows])
     quadratic = {}
     for entry in out_catalog.entries:
-        us = [u for u, _ in entry.scaled.rows]
+        us = entry.packed.rows
         # lazily: _common_scalar stops at the first vector that is no eigenvector
         quadratic[entry.label] = _common_scalar(us, map(gram.apply, us), d * d)
     return ScalingReport(m.rule_name, tuple(entries), quadratic)
@@ -507,10 +508,10 @@ def masking_profile(
     space = m.ballot_space
 
     # M^T (e_target - e_reversal) as diff / ddiff, from the rule's integer rows
-    packed, ddiff = m.scaled.packed
+    rows, ddiff = m.packed.rows, m.packed.den
     index = m.outcome_space.index_of
     aim, away = index(target), set(map(index, decoys))
-    diff = [x - y for x, y in zip(packed.rows[aim], packed.rows[index(reverse_order(target))])]
+    diff = [x - y for x, y in zip(rows[aim], rows[index(reverse_order(target))])]
 
     favorites = _favorite_indices(space, m.outcome_space)
     boost, dboost = _kernel_part(m, [int(fav in away) for fav in favorites])
@@ -554,5 +555,5 @@ def masking_profile(
 
 def _kernel_part(m: ScoringMatrix, flags: list[int]) -> tuple[list[int], int]:
     """The component of flags orthogonal to the row space of m, as (integers, denominator)."""
-    proj, den = la._scaled_ints(la.project_onto_span(m.scaled, flags))
+    proj, den = la._scaled_ints(la.project_onto_span(m.packed, flags))
     return [f * den - x for f, x in zip(flags, proj)], den

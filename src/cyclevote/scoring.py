@@ -53,14 +53,14 @@ class ScoringMatrix(Record, fields=("rule_name", "outcome_space", "ballot_space"
                              ballot_space=ballot_space, entries=entries)
 
     @cached_property
-    def scaled(self) -> la.ScaledMatrix:
-        """The entries with denominators cleared once, for repeated products."""
-        return la.ScaledMatrix(self.entries)
+    def packed(self) -> la.Packed:
+        """The entries over one common denominator, cleared and packed once."""
+        return la.Packed.of(self.entries)
 
     @cached_property
     def echelon(self) -> la.Echelon:
         """The entries eliminated once, for the kernel, effective space and masking."""
-        return la.Echelon(self.scaled)
+        return la.Echelon(self.packed)
 
     def score(self, ballot: Ballot, outcome: CyclicOrder) -> Fraction:
         return self.entries[self.outcome_space.index_of(outcome)][self.ballot_space.index_of(ballot)]
@@ -159,14 +159,16 @@ def build_neutral_matrix(
 
 #: family -> (arity, builder); each builder takes the parameters and the rule name.
 _FAMILIES = {
-    "generic4": (3, lambda p, name: _cyclic_generic(4, _PAIR_NAMES_4, p, name)),
+    "generic4": (3, lambda p, name: _cyclic_generic(4, lambda k, g, h: p[k], name)),
     "rolo_generic": (6, lambda p, name: _regular24("rolo", p, name)),
     "rolo_x1": (1, lambda p, name: _regular24("rolo", (p[0], 0, 1, 0, 0, 1), name)),
     "rolo21": (0, lambda p, name: _regular24("rolo", (2, 0, 1, 0, 0, 1), name)),
     "trad21": (0, lambda p, name: _regular24("trad", (2, 1, 1, 0, 0, 0), name)),
-    "generic5": (8, lambda p, name: _cyclic_generic(5, _PAIR_NAMES_5, p, name)),
-    "distance5": (5, lambda p, name: _distance5(p, name)),
-    "adjusted_distance5": (0, lambda p, name: _adjusted_distance5()),
+    "generic5": (8, lambda p, name: _cyclic_generic(5, lambda k, g, h: p[k], name)),
+    "distance5": (5, lambda p, name: _cyclic_generic(
+        5, lambda k, g, h: p[transposition_distance(g, h)], name)),
+    "adjusted_distance5": (0, lambda p, name: _cyclic_generic(
+        5, lambda k, g, h: _adjusted_distance5(g, h), name)),
 }
 
 FAMILY_ARITY = {family: arity for family, (arity, _) in _FAMILIES.items()}
@@ -189,16 +191,18 @@ def rule(family: str, *params) -> ScoringMatrix:
     return named_rule(family, params)
 
 
-def _cyclic_generic(n: int, pair_names, params: tuple[Fraction, ...], name: str) -> ScoringMatrix:
-    """The rule on n-item cyclic orders with one parameter per pair class.
+def _cyclic_generic(n: int, score, name: str) -> ScoringMatrix:
+    """The rule on n-item cyclic orders (n = 4 or 5) with one value per pair class.
 
-    pair_names lists (class, ballot) anchors with the "Same" class first: each
-    anchor ballot scores its parameter for the "Same" ballot as outcome, and
+    The anchors of _PAIR_NAMES_4 or _PAIR_NAMES_5 list one ballot per class,
+    the "Same" class first.  Anchor k scores score(k, g, base) for the "Same"
+    ballot base as outcome, g the anchor's ballot, one call per anchor, and
     neutrality fills every other cell of its class.
     """
     space = outcome_space(n)
-    base = space.parse(pair_names[0][1])
-    seeds = [(space.parse(text), base, value) for (_, text), value in zip(pair_names, params)]
+    anchors = [space.parse(text) for _, text in (_PAIR_NAMES_4 if n == 4 else _PAIR_NAMES_5)]
+    base = anchors[0]
+    seeds = [(g, base, score(k, g, base)) for k, g in enumerate(anchors)]
     return build_neutral_matrix(space, seeds, name)
 
 
@@ -209,29 +213,11 @@ def _regular24(kind: str, params: tuple[Fraction, ...], name: str) -> ScoringMat
     return build_neutral_matrix(space, seeds, name)
 
 
-def _distance5(weights: tuple[Fraction, ...], name: str) -> ScoringMatrix:
-    return _co5_rule(name, lambda g, h: weights[transposition_distance(g, h)])
-
-
-def _adjusted_distance5() -> ScoringMatrix:
-    """The sum-zero distance rule with both step-relation orbits zeroed out."""
-    weights = tuple(Fraction(v) for v in (2, 1, 0, -1, -2))
-    return _co5_rule("adjusted_distance5", lambda g, h: (
-        Fraction(0) if classify_pair(h, g).tag in ("Step", "StepReversal")
-        else weights[transposition_distance(g, h)]))
-
-
-def _co5_rule(name: str, score) -> ScoringMatrix:
-    """The rule on 5-item cyclic orders scoring ballot g for outcome h as score(g, h).
-
-    score is called once per orbit, on the anchor ballots of _PAIR_NAMES_5
-    for the "Same" anchor (ABCDE) as outcome, and neutrality fills every
-    other cell, as in _cyclic_generic.
-    """
-    space = outcome_space(5)
-    anchors = [space.parse(text) for _, text in _PAIR_NAMES_5]
-    base = anchors[0]
-    return build_neutral_matrix(space, [(g, base, score(g, base)) for g in anchors], name)
+def _adjusted_distance5(g: CyclicOrder, h: CyclicOrder) -> Fraction:
+    """The sum-zero distance weights 2, 1, 0, −1, −2, with both step-relation orbits zeroed out."""
+    if classify_pair(h, g).tag in ("Step", "StepReversal"):
+        return Fraction(0)
+    return Fraction(2 - transposition_distance(g, h))
 
 
 def parse_params(text: str) -> tuple[Fraction, ...]:

@@ -36,7 +36,7 @@ from cyclevote.representation import ActionSpace, DecompositionReport
 from cyclevote.scoring import FAMILY_ARITY, ScoringMatrix, build_neutral_matrix, rule
 from cyclevote.symmetric_group import ClassFunction, Partition, Permutation, parse_permutation
 from test_linalg import (
-    _bareiss_nullspace, _dot_mat_vec, _fraction_rref, add, dot, is_zero, scale, transpose,
+    _bareiss_nullspace, _dot_mat_vec, _fraction_rref, add, dot, is_zero, scale, sub, transpose,
 )
 from _goldens import (
     PARADOX_PROFILE,
@@ -519,18 +519,18 @@ def _gram(rows):
 def test_scaling_report_matches_the_dot_product_oracle(family):
     catalog = subspace_catalog(_CATALOG_OF_FAMILY[family])
     for m in _family_rules(family):
-        d = lcm(*[den for _, den in m.scaled.rows])
-        rows = [[x * (d // den) for x in row] for row, den in m.scaled.rows]
-        packed, packed_den = m.scaled.packed
-        assert (packed.rows, packed_den) == (rows, d)
+        scaled = [la._scaled_ints(row) for row in m.entries]
+        d = lcm(*[den for _, den in scaled])
+        rows = [[x * (d // den) for x in row] for row, den in scaled]
+        assert (m.packed.rows, m.packed.den) == (rows, d)
         report = scaling_report(m, catalog)
         for entry, got in zip(catalog.entries, report.entries):
             assert got.images == tuple(tuple(Fraction(x, d * e) for x in _dot_mat_vec(rows, u))
-                                       for u, e in entry.scaled.rows)
+                                       for u, e in map(la._scaled_ints, entry.vectors))
         gram = _gram(rows)
         same_space = m.outcome_space is m.ballot_space
         for entry in (catalog if same_space else catalog_for_space(m.outcome_space)).entries:
-            us = [u for u, _ in entry.scaled.rows]
+            us = [la._scaled_ints(v)[0] for v in entry.vectors]
             images = [_dot_mat_vec(gram, u) for u in us]
             assert report.quadratic[entry.label] == _common_scalar(us, images, d * d)
 
@@ -647,13 +647,13 @@ def _masking_oracle(m, target, decoys, magnitude=Fraction(1)):
         if order.n != n:
             raise ValueError(f"{order} has n={order.n}, but the rule's outcomes have n={n}")
     space = m.ballot_space
-    base = scale(magnitude, la.sub(m.row(target), m.row(reverse_order(target))))
+    base = scale(magnitude, sub(m.row(target), m.row(reverse_order(target))))
     favorites = [favorite_order(b, space.n) for b in space.ballots]
     decoy_flag = la.vec(1 if fav in decoys else 0 for fav in favorites)
     target_flag = la.vec(1 if fav == target else 0 for fav in favorites)
-    boost = la.sub(decoy_flag, la.project_onto_span(m.echelon, decoy_flag))
+    boost = sub(decoy_flag, la.project_onto_span(m.echelon, decoy_flag))
     if is_zero(boost):
-        drain = la.sub(target_flag, la.project_onto_span(m.echelon, target_flag))
+        drain = sub(target_flag, la.project_onto_span(m.echelon, target_flag))
         boost = scale(-1, drain)
     if is_zero(boost):
         raise MaskingInfeasibleError(
@@ -866,10 +866,10 @@ def test_value_class_constructors_and_cached_properties():
     assert space != ActionSpace(1, 1, act, "")
     assert space.generator_moves is space.generator_moves == ((0,), (0,))
     m = rule("rolo21")
-    assert m.echelon is m.echelon and m.scaled is m.scaled
+    assert m.echelon is m.echelon and m.packed is m.packed
     cat = subspace_catalog("co4")
     assert cat.solver is cat.solver
-    assert cat.entries[0].scaled is cat.entries[0].scaled
+    assert cat.entries[0].packed is cat.entries[0].packed
     assert cat.entries[0].columns is cat.entries[0].columns
     # trad4 reads the rolo4 table: one set of entries, built once
     assert subspace_catalog("trad4").entries is subspace_catalog("rolo4").entries

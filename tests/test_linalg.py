@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -37,6 +37,10 @@ def mat(rows):
 
 def add(u, v):
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v, strict=True))
+
+
+def sub(u, v):
+    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v, strict=True))
 
 
 def scale(k, v):
@@ -337,17 +341,9 @@ def test_span_solver_matches_the_gcd_oracle(rows, coeffs, inside):
 
 def test_vector_arithmetic_gives_fractions_for_any_rational_input():
     half = Fraction(1, 2)
-    cases = [
-        (la.sub((1, 2), (3, 4)), (-2, -2)),
-        (la.sub((half, 1), (1, half)), (-half, half)),
-        (la.sub((0.5, True), (half, 0)), (0, 1)),
-        (la.vec((0.5, True, half)), (half, 1, half)),
-    ]
-    for got, want in cases:
-        assert type(got) is tuple and all(type(x) is Fraction for x in got), got
-        assert got == want
-    with pytest.raises(ValueError):
-        la.sub((1, 2), (3,))
+    got = la.vec((0.5, True, half))
+    assert type(got) is tuple and all(type(x) is Fraction for x in got), got
+    assert got == (half, 1, half)
 
 
 @given(rational_matrix())
@@ -389,7 +385,7 @@ def test_project_onto_span_is_orthogonal(rows, entries):
     v = entries[:len(rows[0])]
     proj = la.project_onto_span(rows, v)
     assert la.solve_in_span(rows, proj) is not None
-    residual = la.sub(v, proj)
+    residual = sub(v, proj)
     assert all(dot(residual, row) == 0 for row in rows)
 
 
@@ -488,11 +484,11 @@ def test_rank_deficient_matches_oracles(rows):
 
 @given(rational_matrix())
 def test_echelon_of_a_scaled_matrix(rows):
-    scaled = la.ScaledMatrix(rows)
-    cleared = [(list(row), den) for row, den in scaled.rows]
-    a, b = la.Echelon(scaled), la.Echelon(rows)
+    packed = la.Packed.of(rows)
+    cleared = [list(row) for row in packed.rows]
+    a, b = la.Echelon(packed), la.Echelon(rows)
     assert (a.rows, a.pivots, a.ncols) == (b.rows, b.pivots, b.ncols)
-    assert scaled.rows == cleared  # elimination leaves the scaled rows as they were
+    assert packed.rows == cleared  # elimination leaves the packed rows as they were
 
 
 def test_echelon_checks_its_pivot_rows(monkeypatch):
@@ -705,14 +701,51 @@ def test_packed_apply_edge_cases(rows, u):
     assert not inside or all(-_LIMIT <= x < _LIMIT for x in _dot_mat_vec(rows, u))
 
 
+@st.composite
+def packed_of_case(draw):
+    """A rational matrix, empty and zero-width shapes included, and an integer vector."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = draw(st.sampled_from([_entry, _large_entry]))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    return rows, draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+
+
+@given(packed_of_case())
+@settings(max_examples=300)
+def test_packed_of_clears_over_the_lcm_of_the_denominators(case):
+    rows, u = case
+    packed = la.Packed.of(rows)
+    assert packed.den == lcm(*[Fraction(x).denominator for row in rows for x in row])
+    assert [len(row) for row in packed.rows] == [len(row) for row in rows]
+    assert all(type(x) is int for row in packed.rows for x in row)
+    assert all(x == Fraction(y) * packed.den for row, want in zip(packed.rows, rows)
+               for x, y in zip(row, want, strict=True))
+    got = packed.apply(u)
+    assert [Fraction(x, packed.den) for x in got] == [dot(row, u) for row in rows]
+    assert la.Packed.of(iter(rows)).rows == packed.rows  # one pass over an iterator
+
+
+@pytest.mark.parametrize("rows,den", [
+    ([], 1),
+    ([[], []], 1),
+    ([[0, 0]], 1),
+    ([[Fraction(1, 2), 3], [Fraction(-2, 3), 0]], 6),
+    ([[0.5, True]], 2),
+], ids=["empty", "zero-width", "zero", "mixed", "float-and-bool"])
+def test_packed_of_edge_cases(rows, den):
+    packed = la.Packed.of(rows)
+    assert packed.den == den and len(packed.rows) == len(rows)
+    assert packed.apply([1] * (len(rows[0]) if rows else 0)) == tuple(
+        int(sum(Fraction(x) for x in row) * den) for row in rows)
+
+
 @given(rational_matrix(), st.lists(_entry, min_size=7, max_size=7))
 def test_mat_vec_matches_fraction_dot_products(rows, entries):
     v = entries[:len(rows[0]) if rows else 3]
     want = tuple(dot(row, v) for row in rows)
     assert la.mat_vec(rows, v) == want
-    scaled = la.ScaledMatrix(rows)
-    assert la.mat_vec(scaled, v) == la.mat_vec(scaled, v) == want
-    assert scaled.packed is scaled.packed  # packed once
+    packed = la.Packed.of(rows)
+    assert la.mat_vec(packed, v) == la.mat_vec(packed, v) == want
 
 
 @given(rational_matrix())
@@ -740,7 +773,7 @@ def test_project_onto_any_spanning_set(rows, entries):
     v = entries[:len(rows[0])]
     want = _fraction_projection(rows, v)
     assert la.project_onto_span(rows, v) == want
-    assert la.project_onto_span(la.ScaledMatrix(rows), v) == want
+    assert la.project_onto_span(la.Packed.of(rows), v) == want
     assert la.project_onto_span(la.Echelon(rows), v) == want
 
 
