@@ -127,9 +127,9 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
     """The unique cyclic order consistent with all of b's constraints.
 
     Cyclic ballots are their own favourite.  For ROLO and TRAD the completion
-    is unique only for n=4: C|R,L gives (R C L X), X the fourth label, and
-    XY-ZW gives (Z W Z' W'), where Z' and W' are the opposite partners of Z
-    and W.  Labels that do not fit n=4 raise ValueError.
+    is unique only for n=4: the seats of _label_tuple(b), followed by the
+    labels of 0..3 they lack, read as a cyclic order.  Labels that do not fit
+    n=4 raise ValueError.
 
     >>> str(favorite_order(parse_ballot("A|D,C", "rolo")))
     '(ACBD)'
@@ -140,29 +140,26 @@ def favorite_order(b: Ballot, n: int = 4) -> CyclicOrder:
         return b
     if n != 4:
         raise ValueError(f"favourite order is unique only for n=4, got n={n}")
-    if isinstance(b, RoloBallot):
-        # R sits just before C and L just after; 0+1+2+3 = 6 gives the fourth label
-        seats = (b.right, b.center, b.left, 6 - b.center - b.right - b.left)
-    else:
-        seats = _label_tuple(b)
-    try:
-        return canonicalize(seats)
-    except ValueError:
-        raise ValueError(f"{b} does not fit n=4") from None
+    seats = _label_tuple(b)
+    seats += tuple(x for x in range(4) if x not in seats)
+    if sorted(seats) != [0, 1, 2, 3]:
+        raise ValueError(f"{b} does not fit n=4")
+    return canonicalize(seats)
 
 
 def _label_tuple(b: Ballot) -> tuple[int, ...]:
     """Labels that determine b, each moved on its own by a relabelling.
 
     A cyclic order gives its seats (to be read up to rotation), a ROLO ballot
-    C|R,L gives (C, R, L), and a TRAD ballot XY-ZW gives the seats
-    (Z W Z' W') of its favourite order, Z' and W' the opposite partners of Z
-    and W.  Relabelling b by sigma maps its tuple entrywise through sigma.
+    C|R,L gives the seats (R, C, L), R just before C and L just after, and a
+    TRAD ballot XY-ZW gives the seats (Z W Z' W') of its favourite order, Z'
+    and W' the opposite partners of Z and W.  Relabelling b by sigma maps its
+    tuple entrywise through sigma.
     """
     if isinstance(b, CyclicOrder):
         return b.seq
     if isinstance(b, RoloBallot):
-        return (b.center, b.right, b.left)
+        return (b.right, b.center, b.left)
     if isinstance(b, TradBallot):
         # the two opposite pairs split 0+1+2+3 = 6: a partner is its pair's sum minus it
         pair = sum(b.opposite)

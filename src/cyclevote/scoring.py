@@ -3,8 +3,9 @@
 A rule is a matrix M with rows indexed by outcomes, columns by ballots, and
 entry[h][g] the points outcome h earns per vote for ballot g.  Neutrality
 (invariance under joint relabelling) makes entries constant on the diagonal
-orbits of ballot x outcome pairs, so a matrix is built by seeding one value
-per orbit and propagating; unseeded orbits stay zero.
+orbits of ballot x outcome pairs.  Every orbit meets the row of outcome 0,
+so the orbit ids are found on that row and gathered into the others; a
+matrix reads one seeded value per orbit through them, zero where unseeded.
 
 Named families cover the parametric rules analysed in this library: the
 3-parameter family on 4-item cyclic ballots, the 6-parameter family on any
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -37,7 +37,8 @@ from .cyclic_orders import (
     parse_order,
     transposition_distance,
 )
-from .representation import _orbit_ids, is_equivariant_matrix
+from .representation import _after, _orbit_ids, is_equivariant_matrix
+from .symmetric_group import Permutation
 
 
 class SeedConflictError(ValueError):
@@ -95,20 +96,29 @@ def format_rational(x: Fraction) -> str:
 
 
 @lru_cache(maxsize=None)
-def _pair_orbits(ballot_space: BallotSpace) -> tuple[tuple[int, ...], int]:
-    """Orbit id of every (outcome, ballot) cell under the diagonal action.
+def _pair_orbits(ballot_space: BallotSpace) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Orbit ids of the (outcome, ballot) cells under the diagonal action:
+    one row per outcome of outcome_space(n), indexed by ballot, and the count.
 
-    The outcomes are outcome_space(n).  Returns a flat row-major tuple of
-    orbit ids and the orbit count.  Ids are assigned in scan order, so they
-    are deterministic for a given ballot space.
+    S_n is transitive on outcomes, so every orbit meets row 0, as an orbit of
+    outcome 0's stabiliser, its rotations; row 0 numbers these by least index.
+    A generator taking outcome k to a filled row h gives row k: row h read
+    through the generator's ballot move.
     """
     outcomes = outcome_space(ballot_space.n)
-    n_out, n_bal = len(outcomes), len(ballot_space)
-    # cell h * n_bal + g moves to om[h] * n_bal + bm[g]; an array keeps the
-    # n_out * n_bal entries as machine ints, not one int object each
-    moves = [array("l", (h * n_bal + g for h in om for g in bm))
+    seats = outcomes[0].seq  # the rotation takes each seat's label to the next seat's
+    rotation = Permutation(tuple(b for _, b in sorted(zip(seats, seats[1:] + seats[:1]))))
+    base, count = _orbit_ids(len(ballot_space), [ballot_space.moves(rotation)])
+    rows, queue = [base] + [None] * (len(outcomes) - 1), [0]
+    steps = [(sorted(range(len(om)), key=om.__getitem__), bm)  # takes outcome inverse[h] to h
              for om, bm in zip(outcomes.generator_moves, ballot_space.generator_moves)]
-    return _orbit_ids(n_out * n_bal, moves)
+    for h in queue:  # queue grows while it is read
+        for inverse, bm in steps:
+            k = inverse[h]
+            if rows[k] is None:
+                rows[k] = _after(rows[h], bm)
+                queue.append(k)
+    return tuple(rows), count
 
 
 def orbit_count(ballot_space: BallotSpace) -> int:
@@ -129,31 +139,21 @@ def build_neutral_matrix(
     Two seeds in one orbit conflict unless they agree (agreement warns).
     """
     outcomes = outcome_space(ballot_space.n)
-    ids, count = _pair_orbits(ballot_space)
-    n_bal = len(ballot_space)
+    rows, count = _pair_orbits(ballot_space)
     values: list[Fraction | None] = [None] * count
     for ballot, order, value in seeds:
         value = Fraction(value)
-        cell = outcomes.index_of(order) * n_bal + ballot_space.index_of(ballot)
-        oid = ids[cell]
+        oid = rows[outcomes.index_of(order)][ballot_space.index_of(ballot)]
+        cell = f"({ballot_space.label(ballot)}, {outcomes.label(order)})"
         if values[oid] is None:
             values[oid] = value
         elif values[oid] != value:
             raise SeedConflictError(
-                f"seed ({ballot_space.label(ballot)}, {outcomes.label(order)}) = "
-                f"{value} conflicts with {values[oid]} in the same orbit"
-            )
+                f"seed {cell} = {value} conflicts with {values[oid]} in the same orbit")
         else:
-            warnings.warn(
-                f"duplicate seed for one orbit: ({ballot_space.label(ballot)}, "
-                f"{outcomes.label(order)})",
-                stacklevel=2,
-            )
+            warnings.warn(f"duplicate seed for one orbit: {cell}", stacklevel=2)
     filled = [Fraction(0) if v is None else v for v in values]
-    entries = tuple(
-        tuple(filled[ids[h * n_bal + g]] for g in range(n_bal))
-        for h in range(len(outcomes))
-    )
+    entries = tuple(tuple(map(filled.__getitem__, row)) for row in rows)
     return ScoringMatrix(rule_name, outcomes, ballot_space, entries)
 
 

@@ -202,7 +202,7 @@ def test_trad_enumeration_matches_the_mapping_oracle():
 
 @pytest.mark.parametrize("ballot", [RoloBallot(4, 0, 1), RoloBallot(0, 1, 5), RoloBallot(0, 1, 4)])
 def test_favorite_order_rejects_labels_outside_n4(ballot):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not fit n=4"):
         favorite_order(ballot)
 
 

@@ -1,3 +1,5 @@
+import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from cyclevote.cyclic_orders import (
     reverse_order,
     transposition_distance,
 )
+from cyclevote.representation import _orbit_ids
 from cyclevote.scoring import (
     SeedConflictError,
     build_neutral_matrix,
@@ -154,9 +157,14 @@ def test_named_rules_are_neutral():
 
 
 def test_orbit_counts():
-    assert orbit_count(build_ballot_space("cyclic", 4, "paper")) == 3
-    assert orbit_count(build_ballot_space("rolo", 4, "paper")) == 6
-    assert orbit_count(build_ballot_space("cyclic", 5, "paper")) == 8
+    """Each count is dim Hom(QB, QO) = sum over lam of m_lam(B) * m_lam(O), by Schur's lemma."""
+    expected = {**{("cyclic", n): c for n, c in zip(range(3, 8), (2, 3, 8, 24, 108))},
+                **{("rolo", n): c for n, c in zip(range(4, 9), (6, 12, 20, 30, 42))},
+                ("trad", 4): 6}
+    for (kind, n), count in expected.items():
+        space, outcomes = build_ballot_space(kind, n), outcome_space(n)
+        schur = sum(m * outcomes.multiplicities[lam] for lam, m in space.multiplicities.items())
+        assert orbit_count(space) == schur == count, (kind, n)
 
 
 def _brute_force_pair_orbits(space):
@@ -178,6 +186,22 @@ def _brute_force_pair_orbits(space):
     return tuple(ids), count
 
 
+def _cell_search_pair_orbits(space):
+    """The orbit ids of the flat cells h * len(space) + g, one first-come search
+    of all |O|·|B| cells through the product moves of the generators."""
+    outcomes, n_bal = outcome_space(space.n), len(space)
+    # cell h * n_bal + g moves to om[h] * n_bal + bm[g]
+    moves = [array("l", (h * n_bal + g for h in om for g in bm))
+             for om, bm in zip(outcomes.generator_moves, space.generator_moves)]
+    return _orbit_ids(len(outcomes) * n_bal, moves)
+
+
+def _flat_pair_orbits(space):
+    rows, count = scoring._pair_orbits(space)
+    assert len(rows) == len(outcome_space(space.n)) and {len(row) for row in rows} == {len(space)}
+    return tuple(oid for row in rows for oid in row), count
+
+
 @pytest.mark.parametrize("kind,n,ordering", [
     ("cyclic", 3, "canonical"), ("cyclic", 4, "paper"), ("cyclic", 4, "canonical"),
     ("cyclic", 5, "paper"), ("rolo", 4, "paper"), ("rolo", 4, "canonical"),
@@ -185,7 +209,32 @@ def _brute_force_pair_orbits(space):
 ])
 def test_pair_orbit_ids_match_brute_force_orbits(kind, n, ordering):
     space = build_ballot_space(kind, n, ordering)
-    assert scoring._pair_orbits(space) == _brute_force_pair_orbits(space)
+    assert _flat_pair_orbits(space) == _brute_force_pair_orbits(space)
+
+
+@pytest.mark.parametrize("kind,n,ordering", [
+    *(("cyclic", n, None) for n in range(3, 8)), *(("rolo", n, None) for n in range(4, 8)),
+    ("trad", 4, None), ("cyclic", 4, "canonical"), ("cyclic", 5, "canonical"),
+    ("rolo", 4, "canonical"),
+])
+def test_pair_orbit_rows_match_the_cell_search(kind, n, ordering):
+    space = build_ballot_space(kind, n, ordering)
+    assert _flat_pair_orbits(space) == _cell_search_pair_orbits(space)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "rolo"])
+def test_random_seeds_at_n6_fill_their_orbits(kind):
+    space, outcomes = build_ballot_space(kind, 6), outcome_space(6)
+    ids, _ = _cell_search_pair_orbits(space)
+    rnd, values = random.Random(6), {}
+    for cell in rnd.sample(range(len(ids)), 40):  # the first seed of an orbit wins
+        values.setdefault(ids[cell], (cell, Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))))
+    seeds = [(space[cell % len(space)], outcomes[cell // len(space)], value)
+             for cell, value in values.values()]
+    m = build_neutral_matrix(space, seeds)
+    assert m.is_neutral()
+    flat = [x for row in m.entries for x in row]
+    assert flat == [values[oid][1] if oid in values else 0 for oid in ids]
 
 
 def test_build_from_seeds_reproduces_examples():
