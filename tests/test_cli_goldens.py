@@ -2,9 +2,13 @@
 
 cli_goldens.json holds, per case id, the exit code and stdout of the run.
 Running this module as a script reruns every case on the source tree it
-imports and rewrites the file:
+imports and records the cases that have no golden yet:
 
     PYTHONPATH=src python tests/test_cli_goldens.py
+
+An existing golden is never replaced: if any case's exit code or stdout
+differs from its golden, the script names those cases, writes nothing and
+exits 1.
 """
 import io
 import json
@@ -71,6 +75,19 @@ def _cases() -> dict[str, list[str]]:
             "--ballots", "rolo", "--n", "4", "--ordering", ordering]
     cases["scaling-rolo21"] = ["scaling", "--rule", "rolo21"]
     cases["scaling-generic5"] = ["scaling", "--rule", "generic5", "--params", "4,0,3,1,2,2,1,1"]
+    cases["scaling-trad21"] = ["scaling", "--rule", "trad21"]
+    cases["kernel-rolo21"] = ["kernel", "--rule", "rolo21"]
+    cases["effective-trad21"] = ["effective", "--rule", "trad21"]
+    for case, rule, target, decoys, extra in (
+        ("mask-rolo21-drain", "rolo21", "(ACBD)", "(ABCD),(ADCB)", ["--magnitude", "3"]),
+        ("mask-rolo21", "rolo21", "(ACBD)", "(ABDC)", []),
+        ("mask-trad21", "trad21", "(ABCD)", "(ACBD),(ADBC)", ["--magnitude", "2"]),
+        ("mask-rolo_generic", "rolo_generic", "(ADCB)", "(ACBD)",
+         ["--params", "6,-5,4,3/2,2,1"]),
+        # exits 2 with empty stdout: the Gram matrix has full rank, so the kernel is 0
+        ("mask-generic4-infeasible", "generic4", "(ACBD)", "(ABCD)", ["--params", "2,1,0"]),
+    ):
+        cases[case] = ["mask", "--rule", rule, "--target", target, "--decoys", decoys, *extra]
     return cases
 
 
@@ -111,5 +128,13 @@ if __name__ == "__main__":
         for name, text in FILES.items():
             Path(directory, name).write_text(text)
         runs = {case: _run(argv, directory) for case, argv in sorted(CASES.items())}
+    recorded = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else {}
+    changed = [case for case in runs if case in recorded and runs[case] != recorded[case]]
+    if changed:
+        print(f"not written: {len(changed)} cases differ from their goldens: "
+              + ", ".join(changed), file=sys.stderr)
+        sys.exit(1)
     GOLDENS.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(runs)} goldens to {GOLDENS}", file=sys.stderr)
+    added = [case for case in runs if case not in recorded]
+    print(f"wrote {len(runs)} goldens to {GOLDENS}, {len(added)} new: " + ", ".join(added),
+          file=sys.stderr)
