@@ -41,11 +41,11 @@ rows, which an `Echelon` keeps for a matrix that is read more than once.
 
 Solving.  `solve_in_span` eliminates [A | b] once, seeking pivots in A's
 columns only, reads each pivot column's coefficient off its pivot row, and
-checks A c = b in integers before answering.  `SpanSolver` eliminates
-[A | I] once for a fixed A and keeps the integer transform rows packed, so
-every later solve against the same columns is one packed product.
-`project_onto_span` solves the normal equations (B Bᵀ) c = B v of any
-spanning set B by one `solve_in_span` and returns Bᵀ c.
+checks A c = b in integers before answering; masking solves the normal
+equations of a rule's Gram matrix with it (`analysis._kernel_part`).
+`SpanSolver` eliminates [A | I] once for a fixed A and keeps the integer
+transform rows packed, so every later solve against the same columns is one
+packed product.
 """
 from __future__ import annotations
 
@@ -125,12 +125,8 @@ class Packed:
             (sum(map(mul, self._columns, u), bias) ^ bias).to_bytes(self._nbytes, "little"))
 
 
-def _packed(m: Sequence[Sequence] | Packed) -> Packed:
-    return m if isinstance(m, Packed) else Packed.of(m)
-
-
 def mat_vec(m: Sequence[Sequence] | Packed, v: Sequence) -> Vector:
-    packed = _packed(m)
+    packed = m if isinstance(m, Packed) else Packed.of(m)
     nv, dv = _scaled_ints(v)
     return _fractions(packed.apply(nv), packed.den * dv)
 
@@ -197,7 +193,7 @@ def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
     rows above each pivot, last pivot first, dividing each combined row by
     its gcd.  A pivot row is then a nonzero integer multiple, of either
     sign, of its reduced row echelon row; rank, nullspace, rref and
-    project_onto_span do not depend on that sign.  A row is only ever
+    solve_in_span do not depend on that sign.  A row is only ever
     replaced by a nonzero multiple of itself plus a multiple of a pivot row,
     so the row space is unchanged.
     """
@@ -251,12 +247,12 @@ def _eliminate(m: list[list[int]], pivot_cols: int) -> list[int]:
 class Echelon:
     """The pivot rows of a matrix's integer Gauss–Jordan form, and its pivot columns.
 
-    rank, nullspace, rref and project_onto_span accept one in place of the
-    matrix, so a matrix that several of them read is eliminated only once.  A
-    Packed is accepted in place of the matrix, so rows whose denominators are
-    already cleared are not cleared again.  The pivot-row property of
-    _eliminate is checked on construction: pivot row i is nonzero in pivot
-    column i and zero in every other pivot column.
+    rank, nullspace and rref accept one in place of the matrix, so a matrix
+    that several of them read is eliminated only once.  A Packed is accepted
+    in place of the matrix, so rows whose denominators are already cleared
+    are not cleared again.  The pivot-row property of _eliminate is checked
+    on construction: pivot row i is nonzero in pivot column i and zero in
+    every other pivot column.
     """
 
     __slots__ = ("rows", "pivots", "ncols")
@@ -312,27 +308,6 @@ def rref(rows: Sequence[Sequence] | Echelon) -> tuple[list[Vector], list[int]]:
     return ([tuple(Fraction(x, row[p]) if x else zero for x in row)
              for row, p in zip(ech.rows, ech.pivots)],
             list(ech.pivots))
-
-
-def project_onto_span(rows: Sequence[Sequence] | Packed | Echelon, v: Sequence) -> Vector:
-    """Orthogonal projection of v onto the span of rows, by the exact normal equations.
-
-    Any spanning set serves, so the rows are used as given, over one common
-    denominator (an Echelon's pivot rows are used instead).  With B those
-    integer rows, every solution c of (B Bᵀ) c = B v gives the same Bᵀ c, the
-    projection, and solve_in_span finds one even when the rows are dependent.
-    """
-    packed = Packed(rows.rows) if isinstance(rows, Echelon) else _packed(rows)
-    basis = packed.rows
-    if not basis:
-        return zeros(len(v))
-    nv, dv = _scaled_ints(v)
-    gram = [packed.apply(b) for b in basis]  # column j is B · b_j; symmetric
-    coeffs = solve_in_span(gram, _fractions(packed.apply(nv), dv))
-    if coeffs is None:
-        raise ArithmeticError("B v lies outside the column space of the Gram matrix B Bᵀ")
-    nc, dc = _scaled_ints(coeffs)
-    return _fractions(Packed(list(zip(*basis))).apply(nc), dc)
 
 
 def _augmented(columns: Sequence[Sequence], extra: Sequence[Sequence]) -> list[list[int]]:

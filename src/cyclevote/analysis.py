@@ -389,10 +389,10 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
     vectors of a catalog entry as u / e with one denominator e per entry
     (CatalogEntry.packed), so that M v = N u / (d e) and
     M Mᵀ v = (N Nᵀ) u / (d² e), each one packed product, with N Nᵀ built and
-    packed once per report.  Whether an integer image w is a multiple of u is
-    the cross-multiplication test w[i] u[p] == w[p] u[i], and the multiple
-    w[p] / (d u[p]) does not depend on e.  Fractions are built only for the
-    fields of the report.
+    packed once per rule (ScoringMatrix.gram).  Whether an integer image w is
+    a multiple of u is the cross-multiplication test w[i] u[p] == w[p] u[i],
+    and the multiple w[p] / (d u[p]) does not depend on e.  Fractions are
+    built only for the fields of the report.
     """
     _check_catalog(catalog, m.ballot_space)
     same_space = m.outcome_space is m.ballot_space
@@ -419,13 +419,12 @@ def scaling_report(m: ScoringMatrix, catalog: SubspaceCatalog, *,
             coords = tuple(tuple(solve(w, d * e) or ()) for w in products)
         entries.append(EntryScaling(entry.label, entry.partition, "mapped", None, images, coords))
 
-    # N Nᵀ is symmetric, and its column i is N applied to row i of N
-    gram = la.Packed([packed.apply(row) for row in packed.rows])
+    gram = m.gram
     quadratic = {}
     for entry in out_catalog.entries:
         us = entry.packed.rows
         # lazily: _common_scalar stops at the first vector that is no eigenvector
-        quadratic[entry.label] = _common_scalar(us, map(gram.apply, us), d * d)
+        quadratic[entry.label] = _common_scalar(us, map(gram.apply, us), gram.den)
     return ScalingReport(m.rule_name, tuple(entries), quadratic)
 
 
@@ -554,6 +553,15 @@ def masking_profile(
 
 
 def _kernel_part(m: ScoringMatrix, flags: list[int]) -> tuple[list[int], int]:
-    """The component of flags orthogonal to the row space of m, as (integers, denominator)."""
-    proj, den = la._scaled_ints(la.project_onto_span(m.packed, flags))
-    return [f * den - x for f, x in zip(flags, proj)], den
+    """The component of flags orthogonal to the row space of m, as (integers, denominator).
+
+    With N the rule's integer rows, solve_in_span finds and checks a solution c
+    of (N Nᵀ) c = N flags even when the rows are dependent, so N (flags − Nᵀ c) = 0.
+    """
+    packed = m.packed
+    coeffs = la.solve_in_span(m.gram.rows, packed.apply(flags))
+    if coeffs is None:
+        raise ArithmeticError("N flags lies outside the column space of the Gram matrix N Nᵀ")
+    nc, dc = la._scaled_ints(coeffs)
+    proj = la.Packed(list(zip(*packed.rows))).apply(nc)  # Nᵀ nc
+    return [f * dc - x for f, x in zip(flags, proj)], dc

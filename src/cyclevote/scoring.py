@@ -59,8 +59,17 @@ class ScoringMatrix(Record, fields=("rule_name", "outcome_space", "ballot_space"
         return la.Packed.of(self.entries)
 
     @cached_property
+    def gram(self) -> la.Packed:
+        """M Mᵀ as N Nᵀ over den², N the packed integer rows, built once per rule.
+
+        N Nᵀ is symmetric: row i, N applied to row i of N, is also column i.
+        """
+        packed = self.packed
+        return la.Packed([packed.apply(row) for row in packed.rows], packed.den ** 2)
+
+    @cached_property
     def echelon(self) -> la.Echelon:
-        """The entries eliminated once, for the kernel, effective space and masking."""
+        """The entries eliminated once, for the kernel and the effective space."""
         return la.Echelon(self.packed)
 
     def score(self, ballot: Ballot, outcome: CyclicOrder) -> Fraction:
@@ -78,7 +87,8 @@ class ScoringMatrix(Record, fields=("rule_name", "outcome_space", "ballot_space"
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + self.ballot_space.labels())
         for h, row in zip(self.outcome_space.ballots, self.entries):
-            writer.writerow([self.outcome_space.label(h)] + [format_rational(x) for x in row])
+            # csv.writer prints cells by str(), and str(Fraction) is format_rational's p/q
+            writer.writerow([self.outcome_space.label(h), *row])
         return buf.getvalue()
 
     def is_neutral(self) -> bool:

@@ -6,6 +6,7 @@ from operator import mul
 import pytest
 
 import cyclevote._linalg as la
+import cyclevote.analysis as analysis
 from cyclevote.analysis import (
     CatalogEntry,
     DecomposedComponent,
@@ -36,7 +37,8 @@ from cyclevote.representation import ActionSpace, DecompositionReport
 from cyclevote.scoring import FAMILY_ARITY, ScoringMatrix, build_neutral_matrix, rule
 from cyclevote.symmetric_group import ClassFunction, Partition, Permutation, parse_permutation
 from test_linalg import (
-    _bareiss_nullspace, _dot_mat_vec, _fraction_rref, add, dot, is_zero, scale, sub, transpose,
+    _bareiss_nullspace, _dot_mat_vec, _fraction_rref, _project_onto_span, add, dot, is_zero,
+    scale, sub, transpose,
 )
 from _goldens import (
     PARADOX_PROFILE,
@@ -628,9 +630,61 @@ def test_masking_profile_requires_a_raw_weight_majority(monkeypatch):
     target = parse_order("(ACBD)")
     monkeypatch.setattr(analysis, "_favorite_indices",
                         lambda space, outcomes: (outcomes.index_of(target),) * len(space))
-    monkeypatch.setattr(la, "project_onto_span", lambda rows, v: la.zeros(len(v)))
+    # every flag vector counts as its own kernel part: a zero projection
+    monkeypatch.setattr(analysis, "_kernel_part", lambda m, flags: (list(flags), 1))
     with pytest.raises(MaskingInfeasibleError, match="majority"):
         masking_profile(rule("rolo21"), target, {parse_order("(ABCD)")}, 1)
+
+
+def _kernel_part_rules():
+    """Named ROLO and TRAD rules, and seeded rules on ROLO 5 and cyclic 6 (singular Grams)."""
+    rules = [rule("rolo21"), rule("trad21")]
+    rules += [rule(family, *_sweep_params(family, seed))
+              for family in ("rolo_generic", "rolo_x1") for seed in range(2)]
+    for kind, n, seeds in (("rolo", 5, [("A|B,C", "(ABCDE)", 2), ("C|E,A", "(ABCDE)", -1)]),
+                           ("cyclic", 6, [("(ADBFCE)", "(ABCDEF)", Fraction(3, 2))])):
+        space = build_ballot_space(kind, n)
+        rules.append(build_neutral_matrix(
+            space, [(space.parse(b), parse_order(h), Fraction(w)) for b, h, w in seeds]))
+    return rules
+
+
+@pytest.mark.parametrize("m", _kernel_part_rules(),
+                         ids=lambda m: f"{m.rule_name.split('(')[0]}-{m.ballot_space.kind}{m.ballot_space.n}")
+def test_kernel_part_matches_the_projection_oracle(m):
+    rng = random.Random(f"kernel-part-{m.rule_name}-{len(m.ballot_space)}")
+    size = len(m.ballot_space)
+    flag_vectors = [[1] + [0] * (size - 1), [1] * size]
+    flag_vectors += [[rng.randint(0, 1) for _ in range(size)] for _ in range(3)]
+    for flags in flag_vectors:
+        part, den = analysis._kernel_part(m, flags)
+        got = la._fractions(part, den)
+        assert got == sub(la.vec(flags), _project_onto_span(m.entries, flags))
+        assert all(dot(got, row) == 0 for row in m.entries)
+    if m.ballot_space.n > 4:
+        assert la.rank(m.gram.rows) < len(m.gram.rows)  # a singular Gram matrix
+
+
+def test_scaling_and_masking_build_one_gram_per_rule(monkeypatch):
+    # N Nᵀ is built by applying N to each of its own rows; count those products
+    named = rule("rolo21")
+    m = ScoringMatrix(named.rule_name, named.outcome_space, named.ballot_space, named.entries)
+    own_rows = []
+
+    class Counting(la.Packed):
+        def apply(self, u):
+            own_rows.extend(row for row in self.rows if row is u)
+            return super().apply(u)
+
+    m.__dict__["packed"] = Counting(named.packed.rows, named.packed.den)
+    calls = []
+    real = analysis._kernel_part
+    monkeypatch.setattr(analysis, "_kernel_part", lambda m, flags: calls.append(1) or real(m, flags))
+    report = scaling_report(m, subspace_catalog("rolo4"))
+    masking_profile(m, parse_order("(ACBD)"), {parse_order("(ABCD)"), parse_order("(ADCB)")}, 3)
+    assert len(calls) == 2  # the decoy projection vanishes, so masking drains the target
+    assert report.quadratic["rev"] == 24
+    assert len(own_rows) == len(m.packed.rows)
 
 
 # -- oracle: the Fraction masking recipe the integer one replaced ---------------
@@ -651,9 +705,9 @@ def _masking_oracle(m, target, decoys, magnitude=Fraction(1)):
     favorites = [favorite_order(b, space.n) for b in space.ballots]
     decoy_flag = la.vec(1 if fav in decoys else 0 for fav in favorites)
     target_flag = la.vec(1 if fav == target else 0 for fav in favorites)
-    boost = sub(decoy_flag, la.project_onto_span(m.echelon, decoy_flag))
+    boost = sub(decoy_flag, _project_onto_span(m.entries, decoy_flag))
     if is_zero(boost):
-        drain = sub(target_flag, la.project_onto_span(m.echelon, target_flag))
+        drain = sub(target_flag, _project_onto_span(m.entries, target_flag))
         boost = scale(-1, drain)
     if is_zero(boost):
         raise MaskingInfeasibleError(
