@@ -625,8 +625,6 @@ def test_masking_profile_infeasible_cases():
 def test_masking_profile_requires_a_raw_weight_majority(monkeypatch):
     # With every ballot favouring the target, no kernel boost can give the
     # other orders a weight majority, so the doubling loop must give up.
-    import cyclevote.analysis as analysis
-
     target = parse_order("(ACBD)")
     monkeypatch.setattr(analysis, "_favorite_indices",
                         lambda space, outcomes: (outcomes.index_of(target),) * len(space))
@@ -649,8 +647,11 @@ def _kernel_part_rules():
     return rules
 
 
-@pytest.mark.parametrize("m", _kernel_part_rules(),
-                         ids=lambda m: f"{m.rule_name.split('(')[0]}-{m.ballot_space.kind}{m.ballot_space.n}")
+def _rule_id(m):
+    return f"{m.rule_name.split('(')[0]}-{m.ballot_space.kind}{m.ballot_space.n}"
+
+
+@pytest.mark.parametrize("m", _kernel_part_rules(), ids=_rule_id)
 def test_kernel_part_matches_the_projection_oracle(m):
     rng = random.Random(f"kernel-part-{m.rule_name}-{len(m.ballot_space)}")
     size = len(m.ballot_space)
